@@ -11,13 +11,16 @@ rendered through :func:`print_table` and metrics registered through
 :func:`record_metrics` are accumulated per bench id (the ``<id>`` in
 ``bench_<id>_*.py``) and written to ``BENCH_<ID>.json`` at the repo
 root when the session ends, together with per-module wall time and the
-current commit.  ``python -m repro.cli bench <id>`` runs one suite and
-prints the JSON path.
+current commit.  Quick runs (``REPRO_BENCH_QUICK=1``) write
+``BENCH_<ID>.quick.json`` instead, so they never overwrite the
+committed full-mode record.  ``python -m repro.cli bench <id>`` runs one
+suite and prints the JSON path.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -68,8 +71,10 @@ def bench_id_of(path: Any) -> Optional[str]:
 
 
 def bench_json_path(bench_id: str) -> Path:
-    """Where ``BENCH_<ID>.json`` lives (repo root)."""
-    return REPO_ROOT / f"BENCH_{bench_id.upper()}.json"
+    """Where this run's record lives (repo root): ``BENCH_<ID>.json``,
+    or ``BENCH_<ID>.quick.json`` in quick mode."""
+    suffix = ".quick" if os.environ.get("REPRO_BENCH_QUICK") else ""
+    return REPO_ROOT / f"BENCH_{bench_id.upper()}{suffix}.json"
 
 
 def _record_for(bench_id: str) -> Dict[str, Any]:

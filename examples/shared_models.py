@@ -25,7 +25,6 @@ from repro.choice import PerformanceObjective
 from repro.runtime import (
     CachedResolver,
     PolicyCache,
-    PredictiveResolver,
     install_crystalball,
 )
 from repro.statemachine import Cluster
@@ -73,7 +72,7 @@ def demo_policy_cache():
         )
         cache = PolicyCache(ttl=2.0)
         for node in cluster.nodes:
-            resolver = PredictiveResolver()
+            resolver = node.crystalball
             node.choice_resolver = CachedResolver(resolver, cache=cache) if cached else resolver
         cluster.start_all()
         start = time.perf_counter()

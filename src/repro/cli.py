@@ -168,7 +168,10 @@ def _cmd_bench(args) -> int:
     command = [sys.executable, "-m", "pytest", "-q", "-s",
                *(str(m) for m in modules)]
     status = subprocess.run(command, cwd=repo_root, env=env).returncode
-    json_path = repo_root / f"BENCH_{bench_id.upper()}.json"
+    # Quick runs write their own file (see benchmarks/conftest.py), so a
+    # quick run never overwrites the committed full-mode record.
+    suffix = ".quick" if env.get("REPRO_BENCH_QUICK") else ""
+    json_path = repo_root / f"BENCH_{bench_id.upper()}{suffix}.json"
     if json_path.exists():
         print(f"results: {json_path}")
     if baseline is not None:
@@ -634,7 +637,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("id", help="bench id, e.g. e7, p1, or s1 (matches "
                               "benchmarks/bench_<id>*.py)")
     p.add_argument("--quick", action="store_true",
-                   help="reduced iterations (sets REPRO_BENCH_QUICK=1)")
+                   help="reduced iterations (sets REPRO_BENCH_QUICK=1); "
+                        "writes BENCH_<ID>.quick.json")
     p.add_argument("--compare", default=None, metavar="BASELINE.json",
                    help="after the run, diff BENCH_<ID>.json against this "
                         "baseline and fail on metric regressions beyond "

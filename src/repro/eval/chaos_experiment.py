@@ -49,7 +49,7 @@ from ..chaos import (
 from ..obs import collect_cluster_metrics
 from ..sim.trace import TraceLog, _jsonable
 from ..statemachine import Cluster
-from .paxos_experiment import agreement_holds, wan_topology
+from .paxos_experiment import agreement_holds, reject_amnesia, wan_topology
 from .tree_experiment import VARIANTS, _build_cluster, _live_states
 
 CHAOS_TREE_VARIANTS = VARIANTS
@@ -369,12 +369,7 @@ def run_chaos_paxos_experiment(
             seed, n, duration=0.7 * max_time,
             amnesia_prob=0.0, crashes=1, name="random-paxos",
         )
-    for event in plan.events:
-        if isinstance(event, CrashEvent) and event.amnesia:
-            raise ValueError(
-                "amnesia crashes forfeit Paxos safety assumptions; "
-                f"use amnesia=False in {plan.name!r}"
-            )
+    reject_amnesia(plan)
 
     # Rebuild the reference experiment inline so the chaos controller
     # can be armed before the workload starts.
@@ -398,7 +393,7 @@ def run_chaos_paxos_experiment(
         plan_name=plan.name or "custom",
         committed=committed,
         expected=n * requests_per_node,
-        agreement=agreement_holds(cluster),
+        agreement=agreement_holds(s.chosen for s in cluster.services),
         trace_digest=trace_digest(cluster.sim.trace),
         chaos_stats=controller.stats(),
         metrics=collect_cluster_metrics(cluster),

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..apps.paxos import PaxosConfig, make_paxos_factory, make_proposer_resolver
+from ..chaos import CrashEvent
 from ..obs import collect_cluster_metrics
 from ..net import Link, Topology
 from ..runtime import install_crystalball
@@ -216,12 +217,6 @@ def run_throughput_experiment(
     stream: Optional[Any] = None,
     telemetry: bool = False,
     telemetry_cadence: float = 1.0,
-    coalesce_window: float = 0.25,
-    max_policy_age: float = 20.0,
-    policy_rate_budget: Optional[float] = 3_000.0,
-    policy_initial_allowance: Optional[float] = 30_000.0,
-    policy_budget: int = 240,
-    checkpoint_period: float = 0.0,
 ) -> ThroughputResult:
     """T1: committed-ops throughput of batched Multi-Paxos under load.
 
@@ -244,17 +239,16 @@ def run_throughput_experiment(
       (:class:`~repro.apps.paxos.ThroughputObjective`), and the hot path
       answers from the coalescing cache / policy, degrading to the
       ``static`` resolver when the policy is stale or the budget is
-      spent (``policy_initial_allowance`` weighted states up front plus
-      ``policy_rate_budget`` per sim-second; rounds whose projected
-      replay cost no longer fits the remaining allowance are denied
-      before any state is captured, concentrating prediction early
-      while the decided logs are small).
+      spent (the runtime's ``POLICY_INITIAL_ALLOWANCE`` weighted states
+      up front plus ``POLICY_RATE_BUDGET`` per sim-second; rounds whose
+      projected replay cost no longer fits the remaining allowance are
+      denied before any state is captured, concentrating prediction
+      early while the decided logs are small).
       Cluster-wide scheduler counters land in ``metrics["steering"]``.
-      Checkpoint gossip is off by default (``checkpoint_period=0``):
-      the committed-work objective scores local queue drain, and at
-      10^5-request scale periodically snapshotting ever-growing decided
-      logs would dominate the run — prediction rounds replay from the
-      local captured dispatch only.
+      Checkpoint gossip is off: the committed-work objective scores
+      local queue drain, and at 10^5-request scale periodically
+      snapshotting ever-growing decided logs would dominate the run —
+      prediction rounds replay from the local captured dispatch only.
 
     Safety is probed every ``probe_period`` seconds *during* the run and
     once at the end: cross-replica agreement and at-most-once execution
@@ -276,7 +270,7 @@ def run_throughput_experiment(
     streaming on or off (``benchmarks/bench_o3_stream.py`` asserts it).
     """
     from ..apps.paxos import ClientLoad, ThroughputObjective, make_throughput_resolver
-    from ..chaos import ChaosController, CrashEvent
+    from ..chaos import ChaosController
     from ..obs import TelemetrySampler, as_stream
     from ..runtime import merge_steering_snapshots
     from ..statemachine.serialization import digest
@@ -291,12 +285,7 @@ def run_throughput_experiment(
         from .chaos_experiment import standard_plans
 
         plan = standard_plans(n, horizon, amnesia=False)[0]
-    for event in plan.events:
-        if isinstance(event, CrashEvent) and event.amnesia:
-            raise ValueError(
-                "amnesia crashes forfeit Paxos safety assumptions; "
-                f"use amnesia=False in {plan.name!r}"
-            )
+    reject_amnesia(plan)
     topology = wan_topology(n)
     factory = make_paxos_factory("batched", config)
     resolver_factory = None
@@ -308,16 +297,9 @@ def run_throughput_experiment(
     runtimes: List[Any] = []
     if mode == "amortized":
         runtimes = install_crystalball(
-            cluster, factory, set_resolver=True,
-            checkpoint_period=checkpoint_period, prediction_period=0.0,
-            objective=ThroughputObjective(),
-            steering_policy=True,
-            policy_fallback=make_throughput_resolver(topology, config),
-            coalesce_window=coalesce_window,
-            max_policy_age=max_policy_age,
-            policy_rate_budget=policy_rate_budget,
-            policy_initial_allowance=policy_initial_allowance,
-            policy_budget=policy_budget,
+            cluster, factory, checkpoint_period=0.0, prediction_period=0.0,
+            objective=ThroughputObjective(), steering_policy=True,
+            fallback=make_throughput_resolver(topology, config),
         )
         for runtime in runtimes:
             runtime.network_model.bootstrap_from_topology(topology)
@@ -364,8 +346,8 @@ def run_throughput_experiment(
 
     def probe() -> None:
         safety["probes"] += 1
-        agreement = agreement_holds(cluster)
-        at_most_once = at_most_once_holds(cluster)
+        agreement = agreement_holds(s.chosen for s in cluster.services)
+        at_most_once = at_most_once_holds(s.executed for s in cluster.services)
         safety["agreement"] = safety["agreement"] and agreement
         safety["at_most_once"] = safety["at_most_once"] and at_most_once
         if run_stream is not None:
@@ -441,32 +423,41 @@ def run_throughput_experiment(
     )
 
 
-def agreement_holds(cluster: Cluster) -> bool:
-    """Cross-replica agreement: no instance decided differently anywhere."""
-    decided: Dict[int, tuple] = {}
-    for service in cluster.services:
-        for instance, value in service.chosen.items():
-            if instance in decided and decided[instance] != value:
+def reject_amnesia(plan: Any) -> None:
+    """Refuse a fault plan with amnesia crashes: Paxos safety assumes
+    acceptors persist their promises across a crash."""
+    for event in plan.events:
+        if isinstance(event, CrashEvent) and event.amnesia:
+            raise ValueError(
+                "amnesia crashes forfeit Paxos safety assumptions; "
+                f"use amnesia=False in {plan.name!r}"
+            )
+
+
+def agreement_holds(chosen_logs: Iterable[Mapping[int, Any]]) -> bool:
+    """Cross-replica agreement over every replica's ``chosen`` map: no
+    instance decided differently anywhere."""
+    decided: Dict[int, Any] = {}
+    for chosen in chosen_logs:
+        for instance, value in chosen.items():
+            if decided.setdefault(instance, value) != value:
                 return False
-            decided[instance] = value
     return True
 
 
-def at_most_once_holds(cluster: Cluster) -> bool:
-    """At-most-once execution: no replica applied a command twice.
+def at_most_once_holds(executed_logs: Iterable[Sequence[Any]]) -> bool:
+    """At-most-once execution over every replica's ``executed`` log: no
+    replica applied a command twice.
 
     A command can legitimately be *chosen* in two instances (recovery
     re-proposes it while the original decision survives elsewhere), but
     the replicated log must apply it exactly once — the dedup-on-apply
     guarantee of ``PaxosReplica._value_chosen``.
     """
-    for service in cluster.services:
-        if len(service.executed) != len(set(service.executed)):
-            return False
-    return True
+    return all(len(executed) == len(set(executed)) for executed in executed_logs)
 
 
 __all__ = ["PAXOS_VARIANTS", "STEERING_MODES", "DEFAULT_LOADS", "PaxosResult",
            "ThroughputResult", "steering_mode", "wan_topology",
            "run_paxos_experiment", "run_throughput_experiment",
-           "agreement_holds", "at_most_once_holds"]
+           "agreement_holds", "at_most_once_holds", "reject_amnesia"]

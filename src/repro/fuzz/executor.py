@@ -167,15 +167,14 @@ class FuzzTarget:
 # ----------------------------------------------------------------------
 
 
+def _replica_logs(world: WorldState, field: str) -> List[Any]:
+    """One log field (``chosen`` / ``executed``) of every replica."""
+    return [world.state_of(node_id).get(field, {}) for node_id in world.node_ids]
+
+
 def paxos_agreement(world: WorldState) -> bool:
-    """Single-decree agreement over a world's ``chosen`` maps."""
-    decided: Dict[Any, tuple] = {}
-    for node_id in world.node_ids:
-        for instance, value in world.state_of(node_id).get("chosen", {}).items():
-            if instance in decided and decided[instance] != tuple(value):
-                return False
-            decided[instance] = tuple(value)
-    return True
+    """:func:`~repro.eval.paxos_experiment.agreement_holds` over a world."""
+    return agreement_holds(_replica_logs(world, "chosen"))
 
 
 def accepted_coherent(world: WorldState) -> bool:
@@ -284,19 +283,14 @@ class PaxosFuzzTarget(FuzzTarget):
         return []
 
     def _final_violations(self, cluster: Cluster) -> List[str]:
-        if not agreement_holds(cluster):
+        if not agreement_holds(s.chosen for s in cluster.services):
             return ["paxos-agreement: two replicas chose different values"]
         return []
 
 
 def paxos_at_most_once(world: WorldState) -> bool:
-    """At-most-once execution over a world's replicated logs: no
-    replica's in-order execution sequence applies a command twice."""
-    for node_id in world.node_ids:
-        executed = [tuple(c) for c in world.state_of(node_id).get("executed", [])]
-        if len(executed) != len(set(executed)):
-            return False
-    return True
+    """:func:`~repro.eval.paxos_experiment.at_most_once_holds` over a world."""
+    return at_most_once_holds(_replica_logs(world, "executed"))
 
 
 class BatchedPaxosFuzzTarget(PaxosFuzzTarget):
@@ -336,7 +330,7 @@ class BatchedPaxosFuzzTarget(PaxosFuzzTarget):
 
     def _final_violations(self, cluster: Cluster) -> List[str]:
         violations = super()._final_violations(cluster)
-        if not at_most_once_holds(cluster):
+        if not at_most_once_holds(s.executed for s in cluster.services):
             violations.append(
                 "paxos-at-most-once: a replica applied a command twice"
             )

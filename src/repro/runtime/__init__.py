@@ -13,7 +13,7 @@ from .checkpoints import (
     ProbeReplyMsg,
     is_runtime_message,
 )
-from .controller import CrystalBallRuntime
+from .controller import CrystalBallRuntime, install_crystalball
 from .policy import (
     AmortizedSteering,
     SteeringPolicy,
@@ -22,7 +22,6 @@ from .policy import (
     scenario_signature,
 )
 from .policy_cache import CachedResolver, PolicyCache, scenario_key
-from .resolver import PredictiveResolver, install_crystalball
 from .steering import EventFilter, SteeringModule
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "CachedResolver",
     "PolicyCache",
     "scenario_key",
-    "PredictiveResolver",
     "install_crystalball",
     "EventFilter",
     "SteeringModule",

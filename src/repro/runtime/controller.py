@@ -7,15 +7,19 @@ latency measurements into the predictive model, periodically runs
 consequence prediction over the assembled snapshot, installs event
 filters to steer execution away from predicted violations, and resolves
 exposed choices by sandbox replay + lookahead scoring against the
-installed objective.
+installed objective.  The runtime is itself the node's choice
+resolver: :func:`install_crystalball` sets ``node.choice_resolver`` to
+it, and every choice prediction cannot answer goes to its one
+``fallback`` resolver.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from ..choice.choicepoint import ChoicePoint
+from ..choice.choicepoint import ChoicePoint, ConfigurationError
 from ..choice.objectives import Objective
+from ..choice.resolvers import FirstResolver
 from ..mc import (
     ChainMemo,
     ConsequencePredictor,
@@ -28,7 +32,7 @@ from ..mc import (
 from ..model import NetworkModel, StateModel
 from ..obs import MetricsRegistry, stats_view
 from ..statemachine import ChoiceRequested, InboundInterposer, SandboxContext
-from ..statemachine.node import Node
+from ..statemachine.node import Cluster, Node
 from ..statemachine.serialization import freeze
 from .checkpoints import (
     CheckpointAckMsg,
@@ -38,8 +42,25 @@ from .checkpoints import (
     ProbeMsg,
     ProbeReplyMsg,
 )
-from .policy import AmortizedSteering
+from .policy import AmortizedSteering, Ranking
 from .steering import EventFilter, SteeringModule
+
+# Amortized steering schedule (``steering_policy=True``): the coalescing
+# window and policy age in sim-seconds, the prediction budget in
+# weighted predicted states (up front, then per sim-second), and the
+# per-round prediction budget in states.
+COALESCE_WINDOW = 0.25
+MAX_POLICY_AGE = 20.0
+POLICY_RATE_BUDGET = 3_000.0
+POLICY_INITIAL_ALLOWANCE = 30_000.0
+POLICY_BUDGET = 240
+# Chain memo capacities (entries) for prediction passes and policy
+# rounds, and how many unscripted choices one sandbox replay may fill.
+CHAIN_MEMO_ENTRIES = 256
+POLICY_MEMO_ENTRIES = 128
+MAX_REPLAY_FILLS = 32
+
+_FIRST = FirstResolver()
 
 
 class _ZeroObjective(Objective):
@@ -75,11 +96,8 @@ class CrystalBallRuntime(InboundInterposer):
         prediction_period: float = 0.0,
         chain_depth: int = 3,
         budget: int = 1_500,
-        prediction_workers: int = 1,
         filter_ttl: float = 10.0,
         steering_enabled: bool = True,
-        max_replay_fills: int = 32,
-        score_aggregate: str = "mean",
         passive_measurement: bool = True,
         prediction_mode: str = "chains",
         prediction_scope: str = "global",
@@ -89,22 +107,13 @@ class CrystalBallRuntime(InboundInterposer):
         min_broadcast_interval: float = 0.05,
         checkpoint_deltas: bool = False,
         full_checkpoint_every: int = 5,
-        prediction_memo: bool = True,
-        memo_max_entries: int = 256,
         model_share_period: float = 0.0,
         generic_node: Optional[object] = None,
         max_snapshot_age: Optional[float] = None,
-        stale_fallback: Optional[object] = None,
+        fallback: Any = _FIRST,
         metrics: Optional[MetricsRegistry] = None,
         flight_recorder: Optional[Any] = None,
         steering_policy: bool = False,
-        policy_fallback: Optional[object] = None,
-        coalesce_window: float = 0.25,
-        max_policy_age: float = 5.0,
-        policy_rate_budget: Optional[float] = 1200.0,
-        policy_initial_allowance: Optional[float] = None,
-        policy_budget: int = 240,
-        policy_memo_entries: int = 128,
     ) -> None:
         self.node = node
         self.service_factory = service_factory
@@ -116,13 +125,8 @@ class CrystalBallRuntime(InboundInterposer):
         self.prediction_period = prediction_period
         self.chain_depth = chain_depth
         self.budget = budget
-        # Fan independent prediction chains over a thread pool (>1);
-        # results are byte-identical to serial mode by construction.
-        self.prediction_workers = prediction_workers
         self.filter_ttl = filter_ttl
         self.steering_enabled = steering_enabled
-        self.max_replay_fills = max_replay_fills
-        self.score_aggregate = score_aggregate
         # Passive measurement: fold message timestamps into the network
         # model (disable to freeze the model after bootstrap — the A4
         # ablation of model freshness under changing conditions).
@@ -173,12 +177,9 @@ class CrystalBallRuntime(InboundInterposer):
         self._deltas_since_full = 0
         self._peer_acked: Dict[int, int] = {}
         # Cross-round chain memo for run_prediction (not used for
-        # hypothetical choice-scoring worlds, which differ per
-        # candidate and would only churn the cache).
-        self.prediction_memo = prediction_memo
-        self._chain_memo: Optional[ChainMemo] = (
-            ChainMemo(max_entries=memo_max_entries) if prediction_memo else None
-        )
+        # per-choice scoring worlds, which differ per candidate and
+        # would only churn the cache).
+        self._chain_memo = ChainMemo(max_entries=CHAIN_MEMO_ENTRIES)
         self.last_prediction_summary: Optional[Dict[str, Any]] = None
         self.model_share_period = model_share_period
         self.generic_node = generic_node
@@ -186,7 +187,15 @@ class CrystalBallRuntime(InboundInterposer):
         # stale to trust, fall back to a cheap resolver instead of
         # predicting from fiction.
         self.max_snapshot_age = max_snapshot_age
-        self.stale_fallback = stale_fallback
+        # The one answer for every choice prediction cannot make,
+        # validated at install time rather than at the first such choice.
+        if not callable(getattr(fallback, "resolve", None)):
+            raise ConfigurationError(
+                "CrystalBallRuntime requires a fallback resolver with a "
+                f".resolve(point, node) method, got {fallback!r}; omit the "
+                "argument to use FirstResolver"
+            )
+        self.fallback = fallback
         self._last_state_digest: Optional[str] = None
         self._last_broadcast_at = float("-inf")
         # Reused across prediction passes: the explorer's service pool
@@ -234,25 +243,21 @@ class CrystalBallRuntime(InboundInterposer):
             node=node.node_id,
         )
 
-        # Amortized prediction-driven steering (ROADMAP item 2): one
-        # scored prediction round's ranking serves every choice sharing
-        # its coarse scenario signature until it ages out or the world
-        # changes.  AmortizedSteering itself raises ConfigurationError
-        # when the required fallback is missing — at install time, not
-        # mid-run.
+        # Amortized prediction-driven steering: one scored prediction
+        # round's ranking serves every choice sharing its coarse
+        # scenario signature until it ages out or the world changes.
         self.amortized: Optional[AmortizedSteering] = None
         self._policy_memo: Optional[ChainMemo] = None
-        self.policy_budget = policy_budget
         if steering_policy:
-            self._policy_memo = ChainMemo(max_entries=policy_memo_entries)
+            self._policy_memo = ChainMemo(max_entries=POLICY_MEMO_ENTRIES)
             self.amortized = AmortizedSteering(
-                fallback=policy_fallback,
+                fallback=fallback,
                 score_fn=self._policy_score,
                 cost_fn=self._policy_cost,
-                coalesce_window=coalesce_window,
-                max_policy_age=max_policy_age,
-                rate_budget=policy_rate_budget,
-                initial_allowance=policy_initial_allowance,
+                coalesce_window=COALESCE_WINDOW,
+                max_policy_age=MAX_POLICY_AGE,
+                rate_budget=POLICY_RATE_BUDGET,
+                initial_allowance=POLICY_INITIAL_ALLOWANCE,
             )
 
         node.inbound_interposers.append(self)
@@ -261,30 +266,23 @@ class CrystalBallRuntime(InboundInterposer):
         # cost at high event rates, so capture starts disarmed and the
         # scheduler arms it only while it is hungry for a scoring round.
         node.capture_dispatch = self.amortized is None
-        if self._chain_memo is not None or self.amortized is not None:
-            # Cached chains and policy rankings implicitly read
-            # connectivity and liveness (which destinations are
-            # reachable/up); neither is part of the recorded footprint
-            # or the scenario signature's bucketed hints, so changes
-            # flush both.
-            node.network.topology_listeners.append(self._on_topology_change)
-            node.network.liveness.subscribe(self._on_liveness_change)
+        # Cached chains and policy rankings implicitly read connectivity
+        # and liveness (which destinations are reachable/up); neither is
+        # part of the recorded footprint or the scenario signature's
+        # bucketed hints, so changes flush both.
+        node.network.topology_listeners.append(
+            lambda kind: self._invalidate(f"topology:{kind}")
+        )
+        node.network.liveness.subscribe(
+            lambda node_id, is_up: self._invalidate("liveness")
+        )
 
-    def _on_topology_change(self, kind: str) -> None:
-        if self._chain_memo is not None:
-            self._chain_memo.invalidate(kind)
-        if self._policy_memo is not None:
-            self._policy_memo.invalidate(kind)
+    def _invalidate(self, reason: str) -> None:
+        """Drop cached chains, policy chains and policy rankings."""
+        self._chain_memo.invalidate(reason)
         if self.amortized is not None:
-            self.amortized.invalidate(f"topology:{kind}")
-
-    def _on_liveness_change(self, node_id: int, is_up: bool) -> None:
-        if self._chain_memo is not None:
-            self._chain_memo.invalidate("liveness")
-        if self._policy_memo is not None:
-            self._policy_memo.invalidate("liveness")
-        if self.amortized is not None:
-            self.amortized.invalidate("liveness")
+            self._policy_memo.invalidate(reason)
+            self.amortized.invalidate(reason)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -673,8 +671,7 @@ class CrystalBallRuntime(InboundInterposer):
         """One consequence-prediction pass over the current snapshot."""
         predictor = ConsequencePredictor(
             self.make_explorer(), chain_depth=self.chain_depth, budget=self.budget,
-            workers=self.prediction_workers, metrics=self.metrics,
-            memo=self._chain_memo,
+            metrics=self.metrics, memo=self._chain_memo,
         )
         try:
             with self.metrics.span(
@@ -682,12 +679,11 @@ class CrystalBallRuntime(InboundInterposer):
             ) as span:
                 world = self.current_world()
                 report = predictor.predict(world)
-                if self._chain_memo is not None:
-                    span.annotate(
-                        memo_hits=self._chain_memo.hits,
-                        memo_misses=self._chain_memo.misses,
-                        memo_entries=len(self._chain_memo),
-                    )
+                span.annotate(
+                    memo_hits=self._chain_memo.hits,
+                    memo_misses=self._chain_memo.misses,
+                    memo_entries=len(self._chain_memo),
+                )
         except Exception as exc:
             # The postmortem moment: dump the telemetry ring before the
             # exception propagates, so the last N seconds of samples and
@@ -776,17 +772,9 @@ class CrystalBallRuntime(InboundInterposer):
                 # new filters count as installations.
                 if newly_installed:
                     self.stats["filters_installed"] += 1
-                    if self._chain_memo is not None:
-                        # A new filter changes what future deliveries
-                        # reach the service; cached chains predicted
-                        # without it are no longer trustworthy.
-                        self._chain_memo.invalidate("steering")
-                    if self._policy_memo is not None:
-                        self._policy_memo.invalidate("steering")
-                    if self.amortized is not None:
-                        # Rankings distilled before the install assumed
-                        # deliveries the filter now drops.
-                        self.amortized.invalidate("steering")
+                    # A new filter drops deliveries that cached chains
+                    # and rankings assumed would reach the service.
+                    self._invalidate("steering")
                 self.node.sim.trace.record(
                     now, "runtime.filter_installed", node=self.node.node_id,
                     src=action.src, msg=type(action.msg).__name__,
@@ -807,56 +795,36 @@ class CrystalBallRuntime(InboundInterposer):
     # Predictive choice resolution
     # ------------------------------------------------------------------
 
+    def resolve(self, point: ChoicePoint, node: Optional[Node] = None) -> Any:
+        """The runtime as the node's choice resolver (Figure 1)."""
+        return self.resolve_choice(point, self.node if node is None else node)
+
     def resolve_choice(self, point: ChoicePoint, node: Node) -> Any:
-        """Pick the candidate whose predicted future scores best.
+        """Resolve one exposed choice through the single pipeline.
 
-        Replays the currently-executing dispatch in a sandbox from its
-        pre-dispatch checkpoint, substituting each candidate at the
-        pending choice, then runs consequence prediction on the
-        resulting world and scores it with the installed objective.
+        * Amortized mode (``steering_policy``): a coalesced answer, then
+          a live policy ranking, then one budgeted scored round, then
+          the fallback (see :class:`~repro.runtime.policy.AmortizedSteering`).
+        * Per-choice mode: the fallback when no dispatch was captured
+          to replay or the snapshot is too stale to predict from,
+          otherwise the head of the scored ranking.
 
-        With ``steering_policy`` enabled the amortized scheduler runs
-        instead: most choices answer from the coalescing cache or a
-        policy ranking distilled from an earlier scored round, and only
-        budgeted misses pay for prediction (see
-        :class:`~repro.runtime.policy.AmortizedSteering`).
+        Every resolution counts in ``choices_resolved``; fallback
+        answers also count in ``choices_fallback``.
         """
-        if self.amortized is not None:
-            with self.metrics.span(
-                "runtime.choice", clock=self._sim_clock, node=self.node.node_id,
-            ):
-                value, source = self.amortized.resolve_explain(point, node)
-            self.stats["choices_resolved"] += 1
-            if source == "fallback":
-                self.stats["choices_fallback"] += 1
-            return value
-        dispatch = node.current_dispatch
-        if dispatch is None:
-            # No dispatch to replay (e.g. choice made in on_init):
-            # score candidates on the immediate world only.
-            return self._resolve_without_replay(point)
-        if self._snapshot_too_stale():
-            # Confidence gating: the model is too old to predict from;
-            # degrade to the cheap fallback instead of guessing.
-            self.stats["choices_fallback"] += 1
-            if self.stale_fallback is not None:
-                return self.stale_fallback.resolve(point, node)
-            return point.candidates[0]
-        best = point.candidates[0]
-        best_score = float("-inf")
         with self.metrics.span(
             "runtime.choice", clock=self._sim_clock, node=self.node.node_id,
         ):
-            for candidate in point.candidates:
-                score = self._score_candidate(dispatch, candidate)
-                node.sim.trace.record(
-                    node.sim.now, "runtime.choice_score", node=node.node_id,
-                    label=point.label, score=round(score, 6),
-                )
-                if score > best_score:
-                    best, best_score = candidate, score
+            if self.amortized is not None:
+                value, source = self.amortized.resolve_explain(point, node)
+            elif node.current_dispatch is None or self._snapshot_too_stale():
+                value, source = self.fallback.resolve(point, node), "fallback"
+            else:
+                value, source = self._rank(point, node.current_dispatch)[0][0], "scored"
         self.stats["choices_resolved"] += 1
-        return best
+        if source == "fallback":
+            self.stats["choices_fallback"] += 1
+        return value
 
     def _snapshot_too_stale(self) -> bool:
         if self.max_snapshot_age is None:
@@ -872,19 +840,36 @@ class CrystalBallRuntime(InboundInterposer):
             return True  # nothing collected yet: no basis to predict
         return max(ages) > self.max_snapshot_age
 
-    def _resolve_without_replay(self, point: ChoicePoint) -> Any:
-        world = self.current_world()
-        base = self.objective.score(world)
-        del base  # identical for every candidate; nothing to compare
-        return point.candidates[0]
+    def _rank(
+        self, point: ChoicePoint, dispatch,
+        budget: Optional[int] = None, memo: Optional[ChainMemo] = None,
+    ) -> Ranking:
+        """Every candidate with its predicted score, best first.
+
+        Each candidate is substituted at the pending choice of a sandbox
+        replay of ``dispatch`` and the resulting world is scored by
+        consequence prediction against the objective.  The sort is
+        stable: tied candidates keep application order, so the head is
+        the strict-improvement argmax, and the first candidate offered
+        when every replay failed (all scores ``-inf``).
+        """
+        ranking = []
+        for candidate in point.candidates:
+            score = self._score_candidate(dispatch, candidate, budget=budget, memo=memo)
+            self.node.sim.trace.record(
+                self.node.sim.now, "runtime.choice_score", node=self.node.node_id,
+                label=point.label, score=round(score, 6),
+            )
+            ranking.append((candidate, score))
+        ranking.sort(key=lambda pair: pair[1], reverse=True)
+        return tuple(ranking)
 
     def _policy_score(self, point: ChoicePoint, node: Node):
         """One scored prediction round for the amortized policy.
 
-        Scores every candidate by sandbox replay + consequence
-        prediction (bounded by the smaller ``policy_budget`` and riding
-        the dedicated policy chain memo for cross-round reuse) and
-        returns ``(ranking, states_explored)`` — or ``None`` when the
+        Ranks every candidate (bounded by the smaller ``POLICY_BUDGET``
+        and riding the dedicated policy chain memo for cross-round
+        reuse) and returns ``(ranking, cost)`` — or ``None`` when the
         current dispatch was not captured, in which case the scheduler
         arms capture and falls back for now.
         """
@@ -892,18 +877,11 @@ class CrystalBallRuntime(InboundInterposer):
         if dispatch is None:
             return None
         before = self.stats["states_explored"]
-        scored = []
-        weight = self._checkpoint_weight(dispatch)
+        weight = _state_weight(dispatch.checkpoint.values())
         with self.metrics.span("runtime.policy_score", node=self.node.node_id):
-            for candidate in point.candidates:
-                score = self._score_candidate(
-                    dispatch, candidate,
-                    budget=self.policy_budget, memo=self._policy_memo,
-                )
-                scored.append((candidate, score))
-        # Stable sort: candidates tied on score keep application order,
-        # matching the per-choice path's strict-improvement rule.
-        scored.sort(key=lambda pair: pair[1], reverse=True)
+            ranking = self._rank(
+                point, dispatch, budget=POLICY_BUDGET, memo=self._policy_memo,
+            )
         # Charge what a round actually costs: predicted states PLUS the
         # checkpoint weight per replayed candidate.  Sandbox replay
         # copies the whole captured state twice per candidate, so on
@@ -919,12 +897,7 @@ class CrystalBallRuntime(InboundInterposer):
             node.sim.now, "runtime.policy_distilled", node=node.node_id,
             label=point.label, states=cost,
         )
-        return tuple(scored), cost
-
-    @staticmethod
-    def _checkpoint_weight(dispatch) -> int:
-        """Size proxy for one captured state: container lengths summed."""
-        return _state_weight(dispatch.checkpoint.values())
+        return ranking, cost
 
     def _policy_cost(self, point: ChoicePoint, node: Node) -> Optional[int]:
         """Projected cost of scoring ``point`` now, for budget admission.
@@ -940,7 +913,7 @@ class CrystalBallRuntime(InboundInterposer):
         """
         dispatch = node.current_dispatch
         if dispatch is not None:
-            weight = self._checkpoint_weight(dispatch)
+            weight = _state_weight(dispatch.checkpoint.values())
         else:
             service = getattr(node, "service", None)
             fields = getattr(service, "state_fields", None)
@@ -991,21 +964,18 @@ class CrystalBallRuntime(InboundInterposer):
         predictor = ConsequencePredictor(
             self.make_explorer(), chain_depth=self.chain_depth,
             budget=self.budget if budget is None else budget,
-            workers=self.prediction_workers, metrics=self.metrics,
-            memo=memo,
+            metrics=self.metrics, memo=memo,
         )
         report = predictor.predict(world)
         self.stats["states_explored"] += report.total_states
         self.last_prediction_summary = report.summary()
-        return immediate + score_report(
-            report, self.objective, aggregate=self.score_aggregate,
-        )
+        return immediate + score_report(report, self.objective)
 
     def _replay(self, dispatch, candidate: Any):
         """Re-run the captured dispatch with ``candidate`` at the pending
         choice; later unscripted choices are filled first-candidate."""
         script = list(dispatch.choices) + [candidate]
-        for _ in range(self.max_replay_fills):
+        for _ in range(MAX_REPLAY_FILLS):
             service = self._replay_service
             if service is None:
                 service = self.service_factory(self.node.node_id)
@@ -1034,4 +1004,28 @@ def _pending_timer(node_id: int, name: str, delay: float, payload: Any):
     return PendingTimer(node=node_id, name=name, payload=payload, delay=max(0.0, delay))
 
 
-__all__ = ["CrystalBallRuntime"]
+def install_crystalball(
+    cluster: Cluster,
+    service_factory: Callable[[int], Any],
+    set_resolver: bool = True,
+    **runtime_kwargs: Any,
+) -> List[CrystalBallRuntime]:
+    """Install and start a CrystalBall runtime on every node of a cluster.
+
+    ``service_factory`` must build services identical in configuration
+    to the live ones (it is used to materialize checkpoints during
+    exploration).  With ``set_resolver`` each runtime becomes its
+    node's choice resolver.  Extra keyword arguments are passed to
+    every :class:`CrystalBallRuntime`.
+    """
+    runtimes = []
+    for node in cluster.nodes:
+        runtime = CrystalBallRuntime(node, service_factory, **runtime_kwargs)
+        if set_resolver:
+            node.choice_resolver = runtime
+        runtime.start()
+        runtimes.append(runtime)
+    return runtimes
+
+
+__all__ = ["CrystalBallRuntime", "install_crystalball"]

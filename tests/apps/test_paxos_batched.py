@@ -90,8 +90,8 @@ def test_batched_commit_executes_every_command_once():
     _submit(cluster, 0.5, 0, commands)
     cluster.run(until=20.0)
 
-    assert agreement_holds(cluster)
-    assert at_most_once_holds(cluster)
+    assert agreement_holds(s.chosen for s in cluster.services)
+    assert at_most_once_holds(s.executed for s in cluster.services)
     reference = cluster.service(0)
     assert set(reference.executed) == set(commands)
     for service in cluster.services:
@@ -129,8 +129,8 @@ def test_ranged_prepare_reacquires_privilege_after_preemption():
     assert replica.range_round >= 4, (
         f"re-acquired round {replica.range_round} does not beat the floor"
     )
-    assert agreement_holds(cluster)
-    assert at_most_once_holds(cluster)
+    assert agreement_holds(s.chosen for s in cluster.services)
+    assert at_most_once_holds(s.executed for s in cluster.services)
     for service in cluster.services:
         assert set(commands) <= set(service.executed), "commands lost to preemption"
 
@@ -152,8 +152,8 @@ def test_learner_catchup_recovers_partitioned_replica():
     _submit(cluster, 9.0, 0, second)     # post-heal traffic reveals max_inst
     cluster.run(until=40.0)
 
-    assert agreement_holds(cluster)
-    assert at_most_once_holds(cluster)
+    assert agreement_holds(s.chosen for s in cluster.services)
+    assert at_most_once_holds(s.executed for s in cluster.services)
     majority, learner = cluster.service(0), cluster.service(2)
     assert set(first) <= set(majority.executed)
     assert learner.executed == majority.executed, (
@@ -178,8 +178,8 @@ def test_lost_batch_is_resequenced_after_amnesia():
     _submit(cluster, 4.0, 0, second)
     cluster.run(until=40.0)
 
-    assert agreement_holds(cluster)
-    assert at_most_once_holds(cluster)
+    assert agreement_holds(s.chosen for s in cluster.services)
+    assert at_most_once_holds(s.executed for s in cluster.services)
     replica = cluster.service(0)
     assert replica.batches_resequenced >= 1, (
         "the amnesia scenario never made a batch lose its instance"
@@ -210,8 +210,8 @@ def test_client_load_closed_loop_commits_offered_volume():
     cluster.run(until=40.0)
 
     assert load.offered() == 600
-    assert agreement_holds(cluster)
-    assert at_most_once_holds(cluster)
+    assert agreement_holds(s.chosen for s in cluster.services)
+    assert at_most_once_holds(s.executed for s in cluster.services)
     reference = cluster.service(0)
     assert len(reference.executed) == 600, (
         f"only {len(reference.executed)} of 600 offered commands executed"

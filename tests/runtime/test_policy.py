@@ -283,32 +283,79 @@ score_tables = st.dictionaries(
     st.integers(min_value=0, max_value=9),
     st.floats(min_value=-10, max_value=10, allow_nan=False),
 )
+# Scores as the runtime produces them: ties (candidates missing from a
+# table score 0.0 too), -inf for a candidate whose sandbox replay
+# failed, and whole rounds where every replay failed.
+runtime_scores = st.one_of(
+    st.dictionaries(
+        st.integers(min_value=0, max_value=9),
+        st.one_of(
+            st.floats(min_value=-10, max_value=10, allow_nan=False),
+            st.sampled_from([0.0, 1.0, float("-inf")]),
+        ),
+    ),
+    st.just({c: float("-inf") for c in range(10)}),
+)
+
+
+def stub_runtime(scores, steering_policy):
+    """A real runtime on node 0 whose candidate scores come from a table.
+
+    Everything above ``_score_candidate`` — the shared ranking, the
+    per-choice pipeline, the policy round and the amortized scheduler —
+    runs unmodified against a captured dispatch.
+    """
+    from types import SimpleNamespace
+
+    from repro.runtime import CrystalBallRuntime
+    from repro.statemachine import Cluster
+
+    from .test_resolver import factory
+
+    cluster = Cluster(3, factory, seed=1)
+    node = cluster.node(0)
+    runtime = CrystalBallRuntime(node, factory, steering_policy=steering_policy,
+                                 fallback=LastResolver())
+    runtime._score_candidate = (
+        lambda dispatch, candidate, budget=None, memo=None: scores.get(candidate, 0.0)
+    )
+    node.current_dispatch = SimpleNamespace(checkpoint={}, choices=[])
+    return runtime
 
 
 @settings(max_examples=120, deadline=None)
-@given(candidates=candidate_sets, scores=score_tables, queue=st.integers(0, 500))
+@given(candidates=candidate_sets, scores=runtime_scores, queue=st.integers(0, 500))
 def test_fresh_policy_equals_per_choice_prediction(candidates, scores, queue):
     """With a fresh policy, amortized resolution == one-shot prediction.
 
-    The per-choice path picks the strict-improvement argmax over
-    candidate scores in application order; the amortized path installs
-    the stable-sorted ranking and answers from it.  They must agree on
-    every candidate set, score table, and scenario."""
-    score_fn = scored_by(scores)
+    Both modes of the runtime rank candidates through the same loop.
+    The per-choice answer must be the strict-improvement argmax over
+    scores in application order (the first candidate when every replay
+    failed); the amortized scheduler installs the ranking and answers
+    from it.  They must agree on every candidate set, score table
+    (ties and -inf included) and scenario."""
     p = point(tuple(candidates), queue=queue)
 
-    # Reference: what a per-choice prediction round would return.
-    best = max(candidates, key=lambda c: (scores.get(c, 0.0), -candidates.index(c)))
+    # Reference: strict improvement over the scores in offer order.
+    best, best_score = candidates[0], float("-inf")
+    for candidate in candidates:
+        if scores.get(candidate, 0.0) > best_score:
+            best, best_score = candidate, scores.get(candidate, 0.0)
 
-    sched = AmortizedSteering(
-        fallback=LastResolver(), score_fn=score_fn,
-        coalesce_window=0.0, rate_budget=None,
-    )
-    value, source = sched.resolve_explain(p, now=0.0)
-    assert source == "scored"
-    assert value == best
+    per_choice = stub_runtime(scores, steering_policy=False)
+    assert per_choice.resolve(p) == best
+    assert per_choice.stats["choices_fallback"] == 0
+
+    runtime = stub_runtime(scores, steering_policy=True)
+    ranking = runtime._rank(p, runtime.node.current_dispatch)
+    assert sorted(c for c, _ in ranking) == sorted(candidates)
+    assert ranking[0][0] == best
+    assert all(a[1] >= b[1] for a, b in zip(ranking, ranking[1:]))
+
+    value, source = runtime.amortized.resolve_explain(p, runtime.node, now=0.0)
+    assert (value, source) == (best, "scored")
     # And every policy answer within max_age agrees with the round.
-    value, source = sched.resolve_explain(p, now=1.0)
+    value, source = runtime.amortized.resolve_explain(p, runtime.node, now=1.0)
     assert (value, source) == (best, "policy")
 
 

@@ -219,7 +219,7 @@ def test_scenario_key_uses_state_digest():
 def test_cached_resolver_speeds_up_predictive(tick=None):
     """Integration: cached predictive resolution hits after first call."""
     from repro.choice import PerformanceObjective
-    from repro.runtime import PredictiveResolver, install_crystalball
+    from repro.runtime import install_crystalball
     from repro.statemachine import Cluster
 
     from .test_resolver import GiverService, factory, weighted_wealth
@@ -233,7 +233,7 @@ def test_cached_resolver_speeds_up_predictive(tick=None):
     )
     cache = PolicyCache(ttl=100.0)
     for node in cluster.nodes:
-        node.choice_resolver = CachedResolver(PredictiveResolver(), cache=cache)
+        node.choice_resolver = CachedResolver(node.crystalball, cache=cache)
     cluster.start_all()
     cluster.run(until=6.5)
     # Same scenario recurs only when node 0's full state digest repeats;

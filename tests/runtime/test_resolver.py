@@ -2,8 +2,10 @@
 
 from dataclasses import dataclass
 
-from repro.choice import FirstResolver, PerformanceObjective
-from repro.runtime import PredictiveResolver, install_crystalball
+import pytest
+
+from repro.choice import ConfigurationError, PerformanceObjective
+from repro.runtime import install_crystalball
 from repro.statemachine import Cluster, Message, Service, msg_handler, timer_handler
 
 
@@ -65,15 +67,20 @@ def test_predictive_resolver_maximizes_objective():
     assert cluster.service(1).wealth == 0
 
 
-def test_fallback_used_without_runtime():
+def test_fallback_used_without_captured_dispatch():
+    """The runtime is the node's resolver; a choice with no captured
+    dispatch to replay is answered (and counted) by its fallback."""
+    from repro.choice import ChoicePoint, FixedResolver
+
     cluster = Cluster(3, factory, seed=1)
-    for node in cluster.nodes:
-        node.choice_resolver = PredictiveResolver(fallback=FirstResolver())
-    cluster.start_all()
-    cluster.run(until=3.5)
-    # First candidate is node 1.
-    assert cluster.service(1).wealth == 3
-    assert cluster.service(2).wealth == 0
+    runtimes = install_crystalball(cluster, factory, fallback=FixedResolver(1))
+    assert all(node.choice_resolver is runtime
+               for node, runtime in zip(cluster.nodes, runtimes))
+    point = ChoicePoint(label="gift-target", candidates=[1, 2], node_id=0)
+    assert cluster.node(0).current_dispatch is None
+    assert runtimes[0].resolve(point) == 2
+    assert runtimes[0].stats["choices_resolved"] == 1
+    assert runtimes[0].stats["choices_fallback"] == 1
 
 
 def test_choice_scores_traced():
@@ -91,19 +98,21 @@ def test_choice_scores_traced():
 
 
 def test_missing_fallback_is_a_configuration_error():
-    """fallback=None used to blow up mid-run at the first runtime-less
-    resolve(); now the wiring itself refuses."""
-    import pytest
+    """A missing or non-resolver fallback is refused when the runtime is
+    installed, in either mode, not at the first choice prediction
+    cannot answer."""
+    from repro.choice import FirstResolver
 
-    from repro.choice import ConfigurationError
-
-    with pytest.raises(ConfigurationError) as err:
-        PredictiveResolver(fallback=None)
-    assert "fallback" in str(err.value)
-    with pytest.raises(ConfigurationError):
-        PredictiveResolver(fallback=object())  # no .resolve method
-    # Omitting the argument still means FirstResolver.
-    assert isinstance(PredictiveResolver().fallback, FirstResolver)
+    for steering_policy in (False, True):
+        for bad in (None, object()):  # object() has no .resolve method
+            with pytest.raises(ConfigurationError) as err:
+                install_crystalball(Cluster(3, factory, seed=1), factory,
+                                    fallback=bad, steering_policy=steering_policy)
+            assert "fallback" in str(err.value)
+        # Omitting the argument means FirstResolver.
+        runtimes = install_crystalball(Cluster(3, factory, seed=1), factory,
+                                       steering_policy=steering_policy)
+        assert isinstance(runtimes[0].fallback, FirstResolver)
 
 
 def test_choices_resolved_counted():
