@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from ..statemachine.serialization import digest_of_frozen, freeze, snapshot_value
+from ..statemachine.serialization import digest, digest_of_frozen, freeze, snapshot_value
 
 
 @dataclass(frozen=True)
@@ -243,7 +243,7 @@ class WorldState:
         On a miss, walks the clone-parent chain while the ancestor holds
         the *same dict object* for this node — an identity check, so a
         hit is always sound — and pulls its cached digest in before
-        falling back to a full freeze+hash.
+        falling back to a full encode+hash.
         """
         cached = self._node_digests.get(node_id)
         if cached is not None:
@@ -258,7 +258,7 @@ class WorldState:
             last_match = ancestor
             ancestor = ancestor._digest_parent
         if cached is None:
-            cached = digest_of_frozen(freeze(state))
+            cached = digest(state)
             if last_match is not None:
                 # Publish at the highest ancestor sharing this state so
                 # sibling branches find it instead of re-freezing.

@@ -882,13 +882,14 @@ class CrystalBallRuntime(InboundInterposer):
             ranking = self._rank(
                 point, dispatch, budget=POLICY_BUDGET, memo=self._policy_memo,
             )
-        # Charge what a round actually costs: predicted states PLUS the
-        # checkpoint weight per replayed candidate.  Sandbox replay
-        # copies the whole captured state twice per candidate, so on
-        # services whose state grows with committed work (decided logs)
-        # the real cost is O(state), not O(states explored) — weighing
-        # it in makes the rate budget self-concentrate scoring early,
-        # when state is small, and throttle it as the log grows.
+        # Charge predicted states PLUS the checkpoint weight per
+        # replayed candidate.  Replay restores the captured state and
+        # checkpoints the result per candidate; the copies share
+        # immutable log entries but still walk every container, so the
+        # cost grows with the state.  The weight is a deterministic size
+        # proxy for that, not a timing: it makes the rate budget
+        # concentrate scoring early, when state is small, and throttle
+        # it as the log grows.
         cost = (
             self.stats["states_explored"] - before
             + weight * len(point.candidates)
@@ -902,10 +903,11 @@ class CrystalBallRuntime(InboundInterposer):
     def _policy_cost(self, point: ChoicePoint, node: Node) -> Optional[int]:
         """Projected cost of scoring ``point`` now, for budget admission.
 
-        The weight term dominates a round's bill once the service's
-        state has grown, and it is knowable *before* capturing or
-        replaying anything: with no dispatch captured yet, the *live*
-        state fields give the same size proxy for free.  Denying up
+        The weight term (the size proxy :meth:`_policy_score` charges)
+        dominates a round's bill once the service's state has grown,
+        and it is knowable *before* capturing or replaying anything:
+        with no dispatch captured yet, the *live* state fields give the
+        same proxy for free.  Denying up
         front matters twice over — an unaffordable round is never
         replayed, and (because denial precedes the defer-and-arm path)
         capture is never armed for it, so the node does not pay the

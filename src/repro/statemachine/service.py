@@ -160,8 +160,9 @@ class Service:
         restore_state(self, checkpoint)
 
     def state_digest(self) -> str:
-        """Stable digest of the current state (for MC state hashing)."""
-        return digest(self.checkpoint())
+        """Stable digest of the current state (for MC state hashing):
+        ``digest(self.checkpoint())`` without copying the fields first."""
+        return digest({name: getattr(self, name) for name in self.state_fields})
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(node_id={self.node_id})"

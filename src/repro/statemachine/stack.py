@@ -29,7 +29,7 @@ from ..choice.choicepoint import ChoicePoint
 from .context import Context
 from .handlers import HandlerSpec
 from .messages import Message
-from .serialization import snapshot_value
+from .serialization import digest, snapshot_value
 from .service import Service
 from .handlers import msg_handler
 
@@ -169,6 +169,9 @@ class ServiceStack(Service):
     def restore(self, checkpoint: Dict[str, Any]) -> None:
         for name, layer_state in checkpoint.items():
             self.layers[name].restore(snapshot_value(layer_state))
+
+    def state_digest(self) -> str:
+        return digest(self.checkpoint())
 
     def __repr__(self) -> str:
         return f"ServiceStack(node_id={self.node_id}, layers={self._order})"

@@ -20,6 +20,7 @@ from repro.apps.paxos import (
     NOOP,
     PaxosConfig,
 )
+from repro.statemachine import Cluster, digest
 
 N = 5
 
@@ -139,3 +140,54 @@ def test_checkpoint_is_a_deep_copy():
     assert list(snapshot["pending"]) == [(0, 1)]
     assert 4 not in snapshot["chosen"]
     assert (0, 9) not in snapshot["applied"]
+
+
+def _paired_containers(copy, live):
+    """Every (checkpoint, live) pair of mutable containers at the same
+    position in the two values."""
+    pairs = []
+    if isinstance(live, (list, dict, set, deque)):
+        pairs.append((copy, live))
+    if isinstance(live, dict):
+        for key, value in live.items():
+            pairs.extend(_paired_containers(copy[key], value))
+    elif isinstance(live, (list, tuple, deque)):
+        for copied, original in zip(copy, live):
+            pairs.extend(_paired_containers(copied, original))
+    return pairs
+
+
+def test_checkpoint_shares_log_entries_and_copies_containers():
+    """A checkpoint after a short batched run shares the immutable
+    command tuples of the decided log by reference, copies every list,
+    dict, set and deque, and stays unchanged when the restored replica
+    is mutated."""
+    config = PaxosConfig(n=3, requests_per_node=0, batch_size_choices=(4,),
+                         pipeline_depth=2, retry_pacing_choices=(1.0,))
+    cluster = Cluster(3, lambda nid: BatchedPaxosReplica(nid, config), seed=5)
+    cluster.start_all()
+    replica = cluster.service(0)
+    cluster.sim.schedule_at(
+        0.5, lambda: [replica.submit((0, k)) for k in range(12)], tag="test:submit",
+    )
+    cluster.run(until=10.0)
+    assert replica.executed and replica.chosen and replica.accepted
+
+    checkpoint = replica.checkpoint()
+    for copied, live in zip(checkpoint["executed"], replica.executed):
+        assert copied is live
+    for instance, value in replica.chosen.items():
+        assert checkpoint["chosen"][instance] is value
+    for name in replica.state_fields:
+        for copied, live in _paired_containers(checkpoint[name], getattr(replica, name)):
+            assert copied is not live, name
+
+    before = digest(checkpoint)
+    replica.restore(checkpoint)
+    replica.executed.append((9, 9))
+    replica.applied.add((9, 9))
+    entry = next(iter(replica.accepted.values()))
+    entry[0] += 1
+    assert digest(checkpoint) == before
+    assert (9, 9) not in checkpoint["executed"]
+    assert (9, 9) not in checkpoint["applied"]

@@ -1,6 +1,7 @@
 """Checkpoint serialization, freezing, and digests."""
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, fields, is_dataclass
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +13,11 @@ from repro.statemachine import (
     freeze,
     snapshot_value,
 )
-from repro.statemachine.serialization import checkpoint_state, restore_state
+from repro.statemachine.serialization import (
+    checkpoint_state,
+    digest_of_frozen,
+    restore_state,
+)
 
 
 @dataclass
@@ -21,17 +26,60 @@ class Wire(Message):
     b: list
 
 
-# Plain-data strategy: scalars and containers thereof.
-scalars = st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+# Plain-data strategy: every scalar and container shape the serializer
+# accepts, including tuples that hold mutable lists and wire messages.
+scalars = (
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=False) | st.binary(max_size=4)
+)
+hashables = (
+    st.integers() | st.text(max_size=4)
+    | st.tuples(st.integers(), st.text(max_size=2))
+)
 plain = st.recursive(
     scalars,
     lambda children: (
         st.lists(children, max_size=4)
-        | st.dictionaries(st.text(max_size=4), children, max_size=4)
-        | st.frozensets(st.integers(), max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.lists(children, max_size=4).map(deque)
+        | st.dictionaries(hashables, children, max_size=4)
+        | st.sets(hashables, max_size=4)
+        | st.frozensets(hashables, max_size=4)
+        | st.builds(Wire, a=st.integers(), b=st.lists(children, max_size=3))
     ),
     max_leaves=12,
 )
+
+MUTABLE = (list, dict, set, deque)
+
+
+def _children(value):
+    """The values directly inside a plain-data container, in order."""
+    if isinstance(value, dict):
+        return [*value, *value.values()]
+    if isinstance(value, (list, tuple, deque, set, frozenset)):
+        return list(value)
+    if is_dataclass(value):
+        return [getattr(value, f.name) for f in fields(value)]
+    return []
+
+
+def _mutable_containers(value):
+    found = [value] if isinstance(value, MUTABLE) or is_dataclass(value) else []
+    for child in _children(value):
+        found.extend(_mutable_containers(child))
+    return found
+
+
+def _mutate(container):
+    if isinstance(container, (list, deque)):
+        container.append("mutated")
+    elif isinstance(container, dict):
+        container["mutated"] = "mutated"
+    elif isinstance(container, set):
+        container.add("mutated")
+    else:
+        container.a = "mutated"
 
 
 @given(plain)
@@ -52,6 +100,34 @@ def test_freeze_is_hashable_and_stable(value):
 @given(plain)
 def test_digest_stable_across_copies(value):
     assert digest(value) == digest(snapshot_value(value))
+
+
+@given(plain)
+def test_digest_is_the_frozen_encoding(value):
+    assert digest(value) == digest_of_frozen(freeze(value))
+
+
+def _assert_same_types(copy, value):
+    assert type(copy) is type(value)
+    if isinstance(value, (set, frozenset)):
+        assert copy == value
+        assert sorted(map(repr, copy)) == sorted(map(repr, value))
+    else:
+        for copied, original in zip(_children(copy), _children(value)):
+            _assert_same_types(copied, original)
+
+
+@given(plain)
+def test_snapshot_keeps_exact_types_at_every_level(value):
+    _assert_same_types(snapshot_value(value), value)
+
+
+@given(plain)
+def test_mutating_a_snapshot_never_reaches_the_original(value):
+    before = digest(value)
+    for container in _mutable_containers(snapshot_value(value)):
+        _mutate(container)
+    assert digest(value) == before
 
 
 def test_freeze_distinguishes_list_and_tuple():
