@@ -63,49 +63,25 @@ def _cmd_e1(_args) -> int:
     return 0
 
 
-def _cmd_tree(args, phase: str) -> int:
-    from .eval import VARIANTS, run_tree_experiment
+def _cmd_sweep(args, option_sets=({},)) -> int:
+    """Every variant x option set x seed of a table-driven experiment;
+    e2/e3 print mean depths, the others one summary per run."""
+    from .eval import RUNNERS
 
-    variants = [args.variant] if args.variant else list(VARIANTS)
-    for variant in variants:
+    run, variants, _ = RUNNERS[args.command]
+    phase = {"e2": "join", "e3": "rejoin"}.get(args.command)
+    for variant in [args.variant] if args.variant else variants:
         depths = []
-        for seed in args.seeds:
-            result = run_tree_experiment(variant, seed=seed)
-            depths.append(
-                result.depth_after_join if phase == "join" else result.depth_after_rejoin
-            )
-        print(f"{variant:>20}: depth after {phase} = "
-              f"{statistics.mean(depths):.2f}  per-seed {depths}")
-    return 0
-
-
-def _cmd_e4(args) -> int:
-    from .eval import GOSSIP_VARIANTS, run_gossip_experiment
-
-    variants = [args.variant] if args.variant else list(GOSSIP_VARIANTS)
-    for variant in variants:
-        for seed in args.seeds:
-            print(run_gossip_experiment(variant, seed=seed).summary())
-    return 0
-
-
-def _cmd_e5(args) -> int:
-    from .eval import SWARM_VARIANTS, run_swarm_experiment
-
-    variants = [args.variant] if args.variant else list(SWARM_VARIANTS)
-    for variant in variants:
-        for seed in args.seeds:
-            print(run_swarm_experiment(variant, setting=args.setting, seed=seed).summary())
-    return 0
-
-
-def _cmd_e6(args) -> int:
-    from .eval import PAXOS_VARIANTS, run_paxos_experiment
-
-    variants = [args.variant] if args.variant else list(PAXOS_VARIANTS)
-    for variant in variants:
-        for seed in args.seeds:
-            print(run_paxos_experiment(variant, seed=seed).summary())
+        for options in option_sets:
+            for seed in args.seeds:
+                result = run(variant, seed=seed, **options)
+                if phase is None:
+                    print(result.summary())
+                else:
+                    depths.append(getattr(result, f"depth_after_{phase}"))
+        if phase is not None:
+            print(f"{variant:>20}: depth after {phase} = "
+                  f"{statistics.mean(depths):.2f}  per-seed {depths}")
     return 0
 
 
@@ -113,24 +89,27 @@ def _cmd_e7(args) -> int:
     import time
 
     from .apps.randtree import RandTreeConfig, make_exposed_factory, randtree_properties
-    from .choice.resolvers import RandomResolver
+    from .eval.assembly import build
+    from .eval.tree_experiment import TREE_VARIANTS
     from .mc import ConsequencePredictor, Explorer, world_from_services
-    from .statemachine import Cluster
 
     config = RandTreeConfig()
-    factory = make_exposed_factory(config)
-    cluster = Cluster(31, factory, seed=args.seeds[0],
-                      resolver_factory=lambda nid: RandomResolver(args.seeds[0]))
-    cluster.start_all()
-    cluster.run(until=20.0)
-    world = world_from_services(cluster.services, cluster.nodes, time=cluster.sim.now)
-    explorer = Explorer(factory, properties=randtree_properties(config))
-    for depth in range(1, args.max_depth + 1):
-        predictor = ConsequencePredictor(explorer, chain_depth=depth, budget=50_000)
-        start = time.perf_counter()
-        report = predictor.predict(world)
-        elapsed = time.perf_counter() - start
-        print(f"chain depth {depth}: {report.total_states:5d} states  {elapsed:.3f}s")
+    for seed in args.seeds:
+        print(f"seed {seed}")
+        cluster = build(TREE_VARIANTS["choice-random"], n=31, seed=seed,
+                        config=config).cluster
+        cluster.start_all()
+        cluster.run(until=20.0)
+        world = world_from_services(cluster.services, cluster.nodes,
+                                    time=cluster.sim.now)
+        explorer = Explorer(make_exposed_factory(config),
+                            properties=randtree_properties(config))
+        for depth in range(1, args.max_depth + 1):
+            predictor = ConsequencePredictor(explorer, chain_depth=depth, budget=50_000)
+            start = time.perf_counter()
+            report = predictor.predict(world)
+            elapsed = time.perf_counter() - start
+            print(f"chain depth {depth}: {report.total_states:5d} states  {elapsed:.3f}s")
     return 0
 
 
@@ -193,36 +172,6 @@ def _cmd_bench(args) -> int:
 REPORTABLE = ("e2", "e3", "e4", "e5", "e6", "a7")
 
 
-def _report_result(experiment: str, args):
-    """Run one experiment configuration and return its result object."""
-    if experiment in ("e2", "e3"):
-        from .eval import run_tree_experiment
-
-        variant = args.variant or "choice-crystalball"
-        return variant, run_tree_experiment(variant, seed=args.seed)
-    if experiment == "e4":
-        from .eval import run_gossip_experiment
-
-        variant = args.variant or "choice-model"
-        return variant, run_gossip_experiment(variant, seed=args.seed)
-    if experiment == "e5":
-        from .eval import run_swarm_experiment
-
-        variant = args.variant or "choice-adaptive"
-        return variant, run_swarm_experiment(variant, seed=args.seed)
-    if experiment == "e6":
-        from .eval import run_paxos_experiment
-
-        variant = args.variant or "choice"
-        return variant, run_paxos_experiment(variant, seed=args.seed)
-    if experiment == "a7":
-        from .eval import run_chaos_tree_experiment
-
-        variant = args.variant or "baseline"
-        return variant, run_chaos_tree_experiment(variant, seed=args.seed)
-    raise ValueError(f"unreportable experiment {experiment!r}")
-
-
 def _near_violation_totals(metrics) -> dict:
     """Aggregate per-node predicted near-violation counts for a report."""
     totals: dict = {}
@@ -252,9 +201,12 @@ def _steering_policy_totals(metrics) -> dict:
 
 
 def _cmd_report(args) -> int:
+    from .eval import RUNNERS
     from .obs import RunReport
 
-    variant, result = _report_result(args.experiment, args)
+    run, _, default = RUNNERS[args.experiment]
+    variant = args.variant or default
+    result = run(variant, seed=args.seed)
     context = {
         "experiment": args.experiment,
         "variant": variant,
@@ -294,14 +246,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_a7(args) -> int:
-    from .eval import (
-        CHAOS_TREE_VARIANTS,
-        run_chaos_paxos_experiment,
-        run_chaos_tree_experiment,
-        standard_plans,
-    )
+    from .eval import run_chaos_paxos_experiment, standard_plans
 
-    variants = [args.variant] if args.variant else list(CHAOS_TREE_VARIANTS)
     plans = standard_plans(args.nodes, args.horizon)
     if args.plan:
         known = {p.name: p for p in plans}
@@ -310,12 +256,7 @@ def _cmd_a7(args) -> int:
                   f"{', '.join(known)}", file=sys.stderr)
             return 2
         plans = [known[args.plan]]
-    for variant in variants:
-        for plan in plans:
-            for seed in args.seeds:
-                result = run_chaos_tree_experiment(
-                    variant, seed=seed, n=args.nodes, plan=plan)
-                print(result.summary())
+    _cmd_sweep(args, [{"n": args.nodes, "plan": plan} for plan in plans])
     if args.paxos:
         for plan in standard_plans(5, 20.0, amnesia=False):
             for seed in args.seeds:
@@ -617,16 +558,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seeds", type=int, nargs="+", default=[1],
                        help="seeds to run (default: 1)")
 
-    for exp_id in ("e2", "e3"):
+    for exp_id in ("e2", "e3", "e4", "e5", "e6"):
         p = sub.add_parser(exp_id, help=EXPERIMENTS[exp_id])
         add_common(p)
-    p = sub.add_parser("e4", help=EXPERIMENTS["e4"])
-    add_common(p)
-    p = sub.add_parser("e5", help=EXPERIMENTS["e5"])
-    add_common(p)
-    p.add_argument("--setting", choices=("scarce", "abundant"), default="scarce")
-    p = sub.add_parser("e6", help=EXPERIMENTS["e6"])
-    add_common(p)
+        if exp_id == "e5":
+            p.add_argument("--setting", choices=("scarce", "abundant"), default="scarce")
     p = sub.add_parser("e7", help=EXPERIMENTS["e7"])
     p.add_argument("--seeds", type=int, nargs="+", default=[1])
     p.add_argument("--max-depth", type=int, default=6)
@@ -768,11 +704,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     handlers = {
         "list": _cmd_list,
         "e1": _cmd_e1,
-        "e2": lambda a: _cmd_tree(a, "join"),
-        "e3": lambda a: _cmd_tree(a, "rejoin"),
-        "e4": _cmd_e4,
-        "e5": _cmd_e5,
-        "e6": _cmd_e6,
+        "e2": _cmd_sweep,
+        "e3": _cmd_sweep,
+        "e4": _cmd_sweep,
+        "e5": lambda a: _cmd_sweep(a, ({"setting": a.setting},)),
+        "e6": _cmd_sweep,
         "e7": _cmd_e7,
         "a7": _cmd_a7,
         "trace": _cmd_trace,

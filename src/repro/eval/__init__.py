@@ -55,7 +55,19 @@ from .tree_experiment import (
     run_tree_experiment,
 )
 
+#: The table-driven experiment ids: runner, variant names (a table's
+#: keys), and the variant a single-run report picks.
+RUNNERS = {
+    "e2": (run_tree_experiment, VARIANTS, "choice-crystalball"),
+    "e3": (run_tree_experiment, VARIANTS, "choice-crystalball"),
+    "e4": (run_gossip_experiment, GOSSIP_VARIANTS, "choice-model"),
+    "e5": (run_swarm_experiment, SWARM_VARIANTS, "choice-adaptive"),
+    "e6": (run_paxos_experiment, PAXOS_VARIANTS, "choice"),
+    "a7": (run_chaos_tree_experiment, CHAOS_TREE_VARIANTS, "baseline"),
+}
+
 __all__ = [
+    "RUNNERS",
     "CHAOS_TREE_VARIANTS",
     "ChaosPaxosResult",
     "ChaosTreeResult",

@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from ..apps.paxos import PaxosConfig
 from ..apps.randtree import (
     RandTreeConfig,
     consistent_edges,
@@ -34,7 +36,6 @@ from ..apps.randtree import (
     tree_depths,
 )
 from ..chaos import (
-    ChaosController,
     ClockSkewEvent,
     CrashEvent,
     FaultPlan,
@@ -46,13 +47,21 @@ from ..chaos import (
     random_fault_plan,
     reliable_transport,
 )
+from ..net import transit_stub
 from ..obs import collect_cluster_metrics
 from ..sim.trace import TraceLog, _jsonable
-from ..statemachine import Cluster
-from .paxos_experiment import agreement_holds, reject_amnesia, wan_topology
-from .tree_experiment import VARIANTS, _build_cluster, _live_states
+from .assembly import Variant, Variants, build, every, live_states, staggered_join
+from .paxos_experiment import agreement_holds, paxos_service, reject_amnesia, wan_topology
+from .tree_experiment import TREE_VARIANTS, VARIANTS
 
 CHAOS_TREE_VARIANTS = VARIANTS
+
+#: Paxos under chaos runs each protocol with no runtime: the exposed
+#: ``choice`` replica answers with its node's default resolver.
+CHAOS_PAXOS_VARIANTS = Variants({
+    name: Variant(paxos_service(name))
+    for name in ("fixed", "mencius", "choice", "batched")
+})
 
 
 # ----------------------------------------------------------------------
@@ -269,12 +278,14 @@ def run_chaos_tree_experiment(
             protect=(cfg.root,),
         )
     wrapper = reliable_transport(reliability) if reliability is not None else None
-    cluster = _build_cluster(
-        variant, n, seed, None, cfg, chain_depth, budget,
-        checkpoint_period=0.5, transport_wrapper=wrapper,
+    world = build(
+        TREE_VARIANTS[variant], n=n, seed=seed,
+        topology=transit_stub(n, random.Random(seed)), plan=plan,
+        chaos_checkpoint_period=checkpoint_period, transport_wrapper=wrapper,
+        config=cfg, chain_depth=chain_depth, budget=budget,
+        checkpoint_period=0.5, runtime_kwargs={},
     )
-    controller = ChaosController(cluster, plan, checkpoint_period=checkpoint_period)
-    controller.arm()
+    cluster = world.cluster
 
     result = ChaosTreeResult(
         variant=variant, seed=seed, n=n, plan_name=plan.name or "custom",
@@ -283,31 +294,22 @@ def run_chaos_tree_experiment(
     horizon = max(plan.horizon, join_time) + settle
 
     def probe() -> None:
-        states = _live_states(cluster)
+        states = live_states(cluster)
         result.probes += 1
         for violation in check_randtree_invariants(states, cfg):
             result.violations.append(f"t={cluster.sim.now:g}: {violation}")
-        if cluster.sim.now + probe_period <= horizon:
-            cluster.sim.schedule(probe_period, probe, tag="chaos.probe")
 
-    cluster.node(cfg.root).start()
-    others = [nid for nid in range(n) if nid != cfg.root]
-    for index, node_id in enumerate(others):
-        cluster.sim.schedule_at(
-            (index + 1) * join_spacing,
-            cluster.node(node_id).start,
-            tag=f"chaos.start:{node_id}",
-        )
-    cluster.sim.schedule(probe_period, probe, tag="chaos.probe")
+    staggered_join(cluster, cfg.root, join_spacing)
+    every(cluster, probe_period, horizon, probe)
     cluster.run(until=horizon)
 
-    states = _live_states(cluster)
+    states = live_states(cluster)
     result.final_depth = max_tree_depth(states, cfg.root)
     result.joined = len(tree_depths(states, cfg.root))
     for violation in check_randtree_invariants(states, cfg):
         result.violations.append(f"t=end: {violation}")
     result.trace_digest = trace_digest(cluster.sim.trace)
-    result.chaos_stats = controller.stats()
+    result.chaos_stats = world.chaos.stats()
     if reliability is not None:
         result.reliable_stats = dict(cluster.transport.stats)
     result.metrics = collect_cluster_metrics(cluster)
@@ -371,18 +373,15 @@ def run_chaos_paxos_experiment(
         )
     reject_amnesia(plan)
 
-    # Rebuild the reference experiment inline so the chaos controller
-    # can be armed before the workload starts.
-    from ..apps.paxos import PaxosConfig, make_paxos_factory
-
     config = PaxosConfig(
         n=n, request_interval=request_interval,
         requests_per_node=requests_per_node,
     )
-    factory = make_paxos_factory(variant, config)
-    cluster = Cluster(n, factory, topology=wan_topology(n), seed=seed)
-    controller = ChaosController(cluster, plan)
-    controller.arm()
+    world = build(
+        CHAOS_PAXOS_VARIANTS[variant], n=n, seed=seed,
+        topology=wan_topology(n), plan=plan, config=config,
+    )
+    cluster = world.cluster
     cluster.start_all()
     cluster.run(until=max_time)
 
@@ -395,7 +394,7 @@ def run_chaos_paxos_experiment(
         expected=n * requests_per_node,
         agreement=agreement_holds(s.chosen for s in cluster.services),
         trace_digest=trace_digest(cluster.sim.trace),
-        chaos_stats=controller.stats(),
+        chaos_stats=world.chaos.stats(),
         metrics=collect_cluster_metrics(cluster),
     )
 
@@ -477,6 +476,7 @@ def run_reliable_join_comparison(
 
 
 __all__ = [
+    "CHAOS_PAXOS_VARIANTS",
     "CHAOS_TREE_VARIANTS",
     "ChaosPaxosResult",
     "ChaosTreeResult",

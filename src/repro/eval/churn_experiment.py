@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from ..apps.randtree import RandTreeConfig, max_tree_depth, tree_depths
+from ..net import transit_stub
 from ..obs import collect_cluster_metrics
-from .tree_experiment import _build_cluster, _live_states
+from .assembly import build, live_states, staggered_join
+from .tree_experiment import TREE_VARIANTS
 
 
 @dataclass
@@ -63,17 +65,16 @@ def run_churn_experiment(
     sampled every ``sample_period`` over the churn window.
     """
     cfg = config if config is not None else RandTreeConfig()
-    cluster = _build_cluster(
-        variant, n, seed, None, cfg, chain_depth, budget, checkpoint_period,
-    )
+    cluster = build(
+        TREE_VARIANTS[variant], n=n, seed=seed,
+        topology=transit_stub(n, random.Random(seed)), config=cfg,
+        chain_depth=chain_depth, budget=budget,
+        checkpoint_period=checkpoint_period, runtime_kwargs={},
+    ).cluster
     result = ChurnResult(variant=variant, seed=seed, n=n)
     churn_rng = random.Random(seed ^ 0xC0FFEE)
 
-    cluster.node(cfg.root).start()
-    for index, node_id in enumerate(nid for nid in range(n) if nid != cfg.root):
-        cluster.sim.schedule_at(
-            (index + 1) * 0.3, cluster.node(node_id).start, tag=f"churn.start:{node_id}",
-        )
+    staggered_join(cluster, cfg.root, 0.3)
     cluster.run(until=warmup)
 
     # Schedule the churn process.
@@ -99,7 +100,7 @@ def run_churn_experiment(
     while clock < warmup + duration:
         cluster.run(until=clock + sample_period)
         clock += sample_period
-        states = _live_states(cluster)
+        states = live_states(cluster)
         live = len(states)
         depth = max_tree_depth(states, cfg.root)
         # Optimistic edges may reach crashed children that still appear

@@ -28,15 +28,23 @@ from ..apps.dissemination import (
 from ..choice.resolvers import RandomResolver
 from ..net import Link, Topology
 from ..obs import collect_cluster_metrics
-from ..statemachine import Cluster
+from .assembly import Variant, Variants, build
 
-SWARM_VARIANTS = (
-    "baseline-random",
-    "baseline-rarest",
-    "choice-random",
-    "choice-rarest",
-    "choice-adaptive",
-)
+
+def _exposed(s):
+    return make_exposed_swarm_factory(s.config, s.views)
+
+
+SWARM_TABLE = Variants({
+    "baseline-random": Variant(
+        lambda s: make_baseline_swarm_factory(s.config, s.views, "random")),
+    "baseline-rarest": Variant(
+        lambda s: make_baseline_swarm_factory(s.config, s.views, "rarest")),
+    "choice-random": Variant(_exposed, lambda s: RandomResolver(s.seed)),
+    "choice-rarest": Variant(_exposed, lambda s: RarestBlockResolver()),
+    "choice-adaptive": Variant(_exposed, lambda s: AdaptiveBlockResolver()),
+})
+SWARM_VARIANTS = tuple(SWARM_TABLE)
 
 SETTINGS = ("scarce", "abundant")
 
@@ -100,29 +108,11 @@ def run_swarm_experiment(
 ) -> SwarmResult:
     """Run one swarm download and report completion statistics."""
     config = setting_config(setting, n, block_count)
-    views = make_views(n, config.view_size, seed)
-    topology = swarm_topology(n, seed)
-
-    if variant == "baseline-random":
-        factory = make_baseline_swarm_factory(config, views, "random")
-        cluster = Cluster(n, factory, topology=topology, seed=seed)
-    elif variant == "baseline-rarest":
-        factory = make_baseline_swarm_factory(config, views, "rarest")
-        cluster = Cluster(n, factory, topology=topology, seed=seed)
-    elif variant == "choice-random":
-        factory = make_exposed_swarm_factory(config, views)
-        cluster = Cluster(n, factory, topology=topology, seed=seed,
-                          resolver_factory=lambda nid: RandomResolver(seed))
-    elif variant == "choice-rarest":
-        factory = make_exposed_swarm_factory(config, views)
-        cluster = Cluster(n, factory, topology=topology, seed=seed,
-                          resolver_factory=lambda nid: RarestBlockResolver())
-    elif variant == "choice-adaptive":
-        factory = make_exposed_swarm_factory(config, views)
-        cluster = Cluster(n, factory, topology=topology, seed=seed,
-                          resolver_factory=lambda nid: AdaptiveBlockResolver())
-    else:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {SWARM_VARIANTS}")
+    cluster = build(
+        SWARM_TABLE[variant], n=n, seed=seed,
+        topology=swarm_topology(n, seed), config=config,
+        views=make_views(n, config.view_size, seed),
+    ).cluster
 
     for node_id in range(n):
         uplink = seed_uplink if node_id in config.seeds else leecher_uplink

@@ -27,10 +27,23 @@ from ..apps.gossip import (
 from ..choice.resolvers import RandomResolver
 from ..net import Link, LinkDynamics, Topology
 from ..obs import collect_cluster_metrics
-from ..runtime import install_crystalball
 from ..statemachine import Cluster
+from .assembly import Variant, Variants, build
 
-GOSSIP_VARIANTS = ("baseline-random", "baseline-bar", "choice-random", "choice-model")
+GOSSIP_TABLE = Variants({
+    "baseline-random": Variant(lambda s: make_baseline_gossip_factory(s.config, "random")),
+    "baseline-bar": Variant(lambda s: make_baseline_gossip_factory(s.config, "bar")),
+    "choice-random": Variant(lambda s: make_exposed_gossip_factory(s.config),
+                             lambda s: RandomResolver(s.seed)),
+    "choice-model": Variant(
+        lambda s: make_exposed_gossip_factory(s.config),
+        lambda s: make_model_gossip_resolver(),
+        lambda s: dict(checkpoint_period=s.config.round_period, prediction_period=0.0,
+                       passive_measurement=s.model_updates),
+        bootstrap=True,
+    ),
+})
+GOSSIP_VARIANTS = tuple(GOSSIP_TABLE)
 
 APP_MESSAGE_KINDS = ("GossipPush", "GossipPullReply")
 
@@ -115,28 +128,10 @@ def run_gossip_experiment(
     if topology is None:
         topology = heterogeneous_topology(n, seed)
 
-    if variant == "baseline-random":
-        cluster = Cluster(n, make_baseline_gossip_factory(config, "random"),
-                          topology=topology, seed=seed)
-    elif variant == "baseline-bar":
-        cluster = Cluster(n, make_baseline_gossip_factory(config, "bar"),
-                          topology=topology, seed=seed)
-    elif variant == "choice-random":
-        cluster = Cluster(n, make_exposed_gossip_factory(config), topology=topology,
-                          seed=seed, resolver_factory=lambda nid: RandomResolver(seed))
-    elif variant == "choice-model":
-        factory = make_exposed_gossip_factory(config)
-        cluster = Cluster(n, factory, topology=topology, seed=seed)
-        runtimes = install_crystalball(
-            cluster, factory, set_resolver=False,
-            checkpoint_period=round_period, prediction_period=0.0,
-            passive_measurement=model_updates,
-        )
-        for runtime, node in zip(runtimes, cluster.nodes):
-            runtime.network_model.bootstrap_from_topology(topology)
-            node.choice_resolver = make_model_gossip_resolver()
-    else:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {GOSSIP_VARIANTS}")
+    cluster = build(
+        GOSSIP_TABLE[variant], n=n, seed=seed, topology=topology,
+        config=config, model_updates=model_updates,
+    ).cluster
 
     if congestion:
         dynamics = LinkDynamics(

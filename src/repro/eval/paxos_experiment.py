@@ -20,20 +20,47 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
-from ..apps.paxos import PaxosConfig, make_paxos_factory, make_proposer_resolver
+from ..apps.paxos import (PaxosConfig, ThroughputObjective, make_paxos_factory,
+                          make_proposer_resolver, make_throughput_resolver)
 from ..chaos import CrashEvent
 from ..obs import collect_cluster_metrics
 from ..net import Link, Topology
-from ..runtime import install_crystalball
-from ..statemachine import Cluster
+from .assembly import Variant, Variants, build, every
 
-PAXOS_VARIANTS = ("fixed", "mencius", "choice")
+
+def paxos_service(name: str):
+    """A variant's service: the ``name`` replica over the setup's config."""
+    return lambda s: make_paxos_factory(name, s.config)
+
+
+PAXOS_TABLE = Variants({
+    "fixed": Variant(paxos_service("fixed")),
+    "mencius": Variant(paxos_service("mencius")),
+    "choice": Variant(
+        paxos_service("choice"), lambda s: make_proposer_resolver(),
+        lambda s: dict(checkpoint_period=0.0, prediction_period=0.0), bootstrap=True,
+    ),
+})
+PAXOS_VARIANTS = tuple(PAXOS_TABLE)
 
 #: Steering modes for :func:`run_throughput_experiment`.  ``off`` is the
 #: static default resolver (first candidate), ``static`` the
 #: deployment-model resolver, ``amortized`` prediction-driven steering
 #: through the :class:`~repro.runtime.AmortizedSteering` scheduler.
-STEERING_MODES = ("off", "static", "amortized")
+THROUGHPUT_TABLE = Variants({
+    "off": Variant(paxos_service("batched")),
+    "static": Variant(paxos_service("batched"),
+                      lambda s: make_throughput_resolver(s.topology, s.config)),
+    "amortized": Variant(
+        paxos_service("batched"), runtime_resolves=True, bootstrap=True,
+        crystalball=lambda s: dict(
+            checkpoint_period=0.0, prediction_period=0.0,
+            objective=ThroughputObjective(), steering_policy=True,
+            fallback=make_throughput_resolver(s.topology, s.config),
+        ),
+    ),
+})
+STEERING_MODES = tuple(THROUGHPUT_TABLE)
 
 
 def steering_mode(steering: Any) -> str:
@@ -118,24 +145,15 @@ def run_paxos_experiment(
     fixed-leader design) and on the edge replica 4 (hurting Mencius for
     node 4's own commands); the exposed choice routes around both.
     """
-    if variant not in PAXOS_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {PAXOS_VARIANTS}")
     config = PaxosConfig(
         n=n, request_interval=request_interval, requests_per_node=requests_per_node,
         processing_delays=processing_delays,
     )
-    if topology is None:
-        topology = wan_topology(n)
-    factory = make_paxos_factory(variant, config)
-    cluster = Cluster(n, factory, topology=topology, seed=seed)
-    if variant == "choice":
-        runtimes = install_crystalball(
-            cluster, factory, set_resolver=False,
-            checkpoint_period=0.0, prediction_period=0.0,
-        )
-        for runtime, node in zip(runtimes, cluster.nodes):
-            runtime.network_model.bootstrap_from_topology(topology)
-            node.choice_resolver = make_proposer_resolver()
+    cluster = build(
+        PAXOS_TABLE[variant], n=n, seed=seed,
+        topology=topology if topology is not None else wan_topology(n),
+        config=config,
+    ).cluster
     cluster.start_all()
     cluster.run(until=max_time)
 
@@ -269,8 +287,7 @@ def run_throughput_experiment(
     it, and draws no RNG, so ``state_digest`` is byte-identical with
     streaming on or off (``benchmarks/bench_o3_stream.py`` asserts it).
     """
-    from ..apps.paxos import ClientLoad, ThroughputObjective, make_throughput_resolver
-    from ..chaos import ChaosController
+    from ..apps.paxos import ClientLoad
     from ..obs import TelemetrySampler, as_stream
     from ..runtime import merge_steering_snapshots
     from ..statemachine.serialization import digest
@@ -286,26 +303,12 @@ def run_throughput_experiment(
 
         plan = standard_plans(n, horizon, amnesia=False)[0]
     reject_amnesia(plan)
-    topology = wan_topology(n)
-    factory = make_paxos_factory("batched", config)
-    resolver_factory = None
-    if mode == "static":
-        resolver = make_throughput_resolver(topology, config)
-        resolver_factory = lambda node_id: resolver
-    cluster = Cluster(n, factory, topology=topology, seed=seed,
-                      resolver_factory=resolver_factory)
-    runtimes: List[Any] = []
-    if mode == "amortized":
-        runtimes = install_crystalball(
-            cluster, factory, checkpoint_period=0.0, prediction_period=0.0,
-            objective=ThroughputObjective(), steering_policy=True,
-            fallback=make_throughput_resolver(topology, config),
-        )
-        for runtime in runtimes:
-            runtime.network_model.bootstrap_from_topology(topology)
+    world = build(
+        THROUGHPUT_TABLE[mode], n=n, seed=seed, topology=wan_topology(n),
+        plan=plan, config=config,
+    )
+    cluster = world.cluster
     cluster.sim.trace.enabled = False
-    controller = ChaosController(cluster, plan)
-    controller.arm()
     load = ClientLoad(cluster, total_requests, window=window, burst=burst, tick=tick)
 
     run_stream = as_stream(
@@ -356,12 +359,10 @@ def run_throughput_experiment(
                 probe=safety["probes"], agreement=agreement,
                 at_most_once=at_most_once,
             )
-        if cluster.sim.now + probe_period <= horizon:
-            cluster.sim.schedule(probe_period, probe, tag="throughput.probe")
 
     cluster.start_all()
     load.arm()
-    cluster.sim.schedule(probe_period, probe, tag="throughput.probe")
+    every(cluster, probe_period, horizon, probe)
     if sampler is not None:
         sampler.start(until=horizon)
     cluster.run(until=horizon)
@@ -382,9 +383,9 @@ def run_throughput_experiment(
         for s in cluster.services
     })
     metrics = collect_cluster_metrics(cluster)
-    if runtimes:
+    if world.runtimes:
         metrics["steering"] = merge_steering_snapshots(
-            r.amortized.snapshot() for r in runtimes if r.amortized is not None
+            r.amortized.snapshot() for r in world.runtimes if r.amortized is not None
         )
     if sampler is not None:
         sampler.stop()
@@ -418,7 +419,7 @@ def run_throughput_experiment(
         at_most_once=safety["at_most_once"],
         probes=safety["probes"],
         state_digest=state_digest,
-        chaos_stats=controller.stats(),
+        chaos_stats=world.chaos.stats(),
         metrics=metrics,
     )
 

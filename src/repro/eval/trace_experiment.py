@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
-from ..apps.paxos import PaxosConfig, make_paxos_factory
-from ..chaos import ChaosController
+from ..apps.paxos import PaxosConfig
+from ..choice import FirstResolver
 from ..mc import SafetyProperty
 from ..obs import (
     CausalExplanation,
@@ -36,12 +36,13 @@ from ..obs import (
     explain_steering,
     explain_violation,
 )
-from ..runtime import install_crystalball
-from ..statemachine import Cluster
+from .assembly import Variant, build
 from .chaos_experiment import standard_plans, trace_digest
-from .paxos_experiment import wan_topology
+from .paxos_experiment import paxos_service, wan_topology
 
-TRACE_EXPERIMENTS = ("e6", "a7")
+#: Session -> the standard fault plan armed against it ("clean": none).
+TRACE_PLANS = {"e6": "clean", "a7": "message-chaos"}
+TRACE_EXPERIMENTS = tuple(TRACE_PLANS)
 
 
 def canary_property(node: int) -> SafetyProperty:
@@ -55,6 +56,20 @@ def canary_property(node: int) -> SafetyProperty:
             return True
         return not world.state_of(node).get("accepted")
     return SafetyProperty(f"canary-quiet-acceptor-{node}", holds)
+
+
+#: Both sessions run the exposed-choice replica.  Live choices go to the
+#: first-candidate resolver (deterministic, cheap, and still recorded as
+#: choice.resolve events for forensics to root chains at); a CrystalBall
+#: runtime per node guards the canary property and steers.
+CANARY_STEERING = Variant(
+    paxos_service("choice"), lambda s: FirstResolver(),
+    lambda s: dict(
+        properties=[canary_property(s.canary)], budget=s.budget,
+        checkpoint_period=s.checkpoint_period,
+        prediction_period=s.prediction_period, chain_depth=s.chain_depth,
+    ),
+)
 
 
 @dataclass
@@ -129,26 +144,15 @@ def run_trace_session(
         n=n, request_interval=request_interval,
         requests_per_node=requests_per_node,
     )
-    factory = make_paxos_factory("choice", config)
-    cluster = Cluster(
-        n, factory, topology=wan_topology(n), seed=seed, causal=True,
+    plan_name = TRACE_PLANS[experiment]
+    plans = {plan.name: plan for plan in standard_plans(n, max_time)}
+    world = build(
+        CANARY_STEERING, n=n, seed=seed, topology=wan_topology(n),
+        plan=plans.get(plan_name), causal=True, config=config, canary=canary,
+        checkpoint_period=checkpoint_period, prediction_period=prediction_period,
+        chain_depth=chain_depth, budget=budget,
     )
-    runtimes = install_crystalball(
-        cluster, factory,
-        set_resolver=False,  # live choices use the plain first-candidate
-        # resolver: deterministic, cheap, and still recorded as
-        # choice.resolve events for forensics to root chains at.
-        properties=[canary_property(canary)],
-        checkpoint_period=checkpoint_period,
-        prediction_period=prediction_period,
-        chain_depth=chain_depth,
-        budget=budget,
-    )
-    plan_name = "clean"
-    if experiment == "a7":
-        plan = standard_plans(n, max_time)[0]  # message-chaos
-        ChaosController(cluster, plan).arm()
-        plan_name = plan.name or "message-chaos"
+    cluster, runtimes = world.cluster, world.runtimes
     cluster.start_all()
     cluster.run(until=max_time)
 

@@ -31,10 +31,25 @@ from ..apps.randtree import (
 )
 from ..choice.resolvers import RandomResolver
 from ..net import Topology, transit_stub
-from ..runtime import install_crystalball
 from ..statemachine import Cluster
+from .assembly import Variant, Variants, build, live_states, staggered_join
 
-VARIANTS = ("baseline", "choice-random", "choice-crystalball")
+TREE_VARIANTS = Variants({
+    "baseline": Variant(lambda s: make_baseline_factory(s.config)),
+    "choice-random": Variant(lambda s: make_exposed_factory(s.config),
+                             lambda s: RandomResolver(s.seed)),
+    "choice-crystalball": Variant(
+        lambda s: make_exposed_factory(s.config), runtime_resolves=True,
+        crystalball=lambda s: dict(
+            objective=make_balance_objective(s.config),
+            properties=randtree_properties(s.config),
+            prediction_period=0.0,  # steering studied separately
+            checkpoint_period=s.checkpoint_period, chain_depth=s.chain_depth,
+            budget=s.budget, **s.runtime_kwargs,
+        ),
+    ),
+})
+VARIANTS = tuple(TREE_VARIANTS)
 
 
 @dataclass
@@ -71,65 +86,13 @@ def optimal_depth(n: int, fanout: int) -> int:
     return depth
 
 
-def _live_states(cluster: Cluster) -> Dict[int, dict]:
-    return {
-        node.node_id: node.service.checkpoint()
-        for node in cluster.nodes
-        if node.is_up
-    }
-
-
-def _build_cluster(
-    variant: str,
-    n: int,
-    seed: int,
-    topology: Optional[Topology],
-    config: RandTreeConfig,
-    chain_depth: int,
-    budget: int,
-    checkpoint_period: float,
-    runtime_kwargs: Optional[dict] = None,
-    transport_wrapper=None,
-) -> Cluster:
-    if topology is None:
-        topology = transit_stub(n, random.Random(seed))
-    if variant == "baseline":
-        factory = make_baseline_factory(config)
-        return Cluster(n, factory, topology=topology, seed=seed,
-                       transport_wrapper=transport_wrapper)
-    factory = make_exposed_factory(config)
-    if variant == "choice-random":
-        cluster = Cluster(
-            n, factory, topology=topology, seed=seed,
-            resolver_factory=lambda nid: RandomResolver(seed),
-            transport_wrapper=transport_wrapper,
-        )
-        return cluster
-    if variant == "choice-crystalball":
-        cluster = Cluster(n, factory, topology=topology, seed=seed,
-                          transport_wrapper=transport_wrapper)
-        install_crystalball(
-            cluster,
-            factory,
-            objective=make_balance_objective(config),
-            properties=randtree_properties(config),
-            checkpoint_period=checkpoint_period,
-            chain_depth=chain_depth,
-            budget=budget,
-            prediction_period=0.0,  # steering studied separately
-            **(runtime_kwargs or {}),
-        )
-        return cluster
-    raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-
-
 def failed_subtree(cluster: Cluster, config: RandTreeConfig) -> List[int]:
     """The nodes of the subtree under the root's first child.
 
     With fan-out 2 and a full tree this is about half the nodes,
     matching the paper's failure injection.
     """
-    states = _live_states(cluster)
+    states = live_states(cluster)
     root_children = states[config.root].get("children", [])
     if not root_children:
         return []
@@ -168,24 +131,21 @@ def run_tree_experiment(
     depth is measured (E3).
     """
     cfg = config if config is not None else RandTreeConfig()
-    cluster = _build_cluster(
-        variant, n, seed, topology, cfg, chain_depth, budget, checkpoint_period,
-        runtime_kwargs,
+    world = build(
+        TREE_VARIANTS[variant], n=n, seed=seed,
+        topology=topology if topology is not None
+        else transit_stub(n, random.Random(seed)),
+        config=cfg, chain_depth=chain_depth, budget=budget,
+        checkpoint_period=checkpoint_period, runtime_kwargs=runtime_kwargs or {},
     )
+    cluster = world.cluster
     result = TreeExperimentResult(variant=variant, seed=seed, n=n)
 
     # Phase 1: staggered joins.
-    cluster.node(cfg.root).start()
-    others = [nid for nid in range(n) if nid != cfg.root]
-    for index, node_id in enumerate(others):
-        cluster.sim.schedule_at(
-            (index + 1) * join_spacing,
-            cluster.node(node_id).start,
-            tag=f"exp.start:{node_id}",
-        )
+    staggered_join(cluster, cfg.root, join_spacing)
     join_measure_t = n * join_spacing + join_settle
     cluster.run(until=join_measure_t)
-    states = _live_states(cluster)
+    states = live_states(cluster)
     result.depth_after_join = max_tree_depth(states, cfg.root)
     result.joined_after_join = len(tree_depths(states, cfg.root))
 
@@ -205,7 +165,7 @@ def run_tree_experiment(
             tag=f"exp.restart:{node_id}",
         )
     cluster.run(until=rejoin_t + len(victims) * rejoin_spacing + rejoin_settle)
-    states = _live_states(cluster)
+    states = live_states(cluster)
     result.depth_after_rejoin = max_tree_depth(states, cfg.root)
     result.joined_after_rejoin = len(tree_depths(states, cfg.root))
     result.metrics = collect_cluster_metrics(cluster)
@@ -213,6 +173,7 @@ def run_tree_experiment(
 
 
 __all__ = [
+    "TREE_VARIANTS",
     "VARIANTS",
     "TreeExperimentResult",
     "run_tree_experiment",

@@ -35,8 +35,10 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional
 
 from ..apps.paxos import PaxosConfig, make_paxos_factory
 from ..apps.randtree import RandTreeConfig, make_baseline_factory, randtree_properties
-from ..chaos import ChaosController, FaultPlan
+from ..chaos import FaultPlan
 from ..chaos.plan import CrashEvent, LinkFaultEvent, PartitionEvent, plan_rng
+from ..choice import FirstResolver
+from ..eval.assembly import Variant, build, every, staggered_join
 from ..eval.chaos_experiment import check_randtree_invariants, trace_digest
 from ..eval.paxos_experiment import agreement_holds, at_most_once_holds, wan_topology
 from ..mc import (
@@ -46,6 +48,7 @@ from ..mc import (
     WorldState,
     world_from_services,
 )
+from ..net import Topology, transit_stub
 from ..statemachine import Cluster
 from .coverage import (
     chaos_features,
@@ -78,6 +81,22 @@ class ExecutionResult:
         return bool(self.violations)
 
 
+#: ``execute(steering=...)`` -> how a target's nodes resolve choices:
+#: always the first candidate; with steering, a CrystalBall runtime per
+#: node also predicts over the target's properties and filters events.
+STEERING_VARIANTS = {
+    False: Variant(lambda s: s.target.factory, lambda s: FirstResolver()),
+    True: Variant(
+        lambda s: s.target.factory, lambda s: FirstResolver(),
+        lambda s: dict(
+            properties=s.target.properties, checkpoint_period=1.0,
+            prediction_period=1.0, chain_depth=s.target.chain_depth,
+            budget=s.target.predict_budget,
+        ),
+    ),
+}
+
+
 class FuzzTarget:
     """One app under adversarial scenario search."""
 
@@ -89,29 +108,43 @@ class FuzzTarget:
     chain_depth = 3
     predict_budget = 160
 
+    # Stable-storage cadence of the chaos controller's crash recovery.
+    chaos_checkpoint_period = 0.0
+
     def random_plan(self, rng: random.Random) -> FaultPlan:
         """Draw a plan from this target's random surface (the baseline
         the guided campaign is benchmarked against)."""
         raise NotImplementedError
 
+    def topology(self, seed: int) -> Topology:
+        raise NotImplementedError
+
     def execute(self, plan: FaultPlan, seed: int, *, probes: bool = True,
                 causal: bool = False, keep_cluster: bool = False,
                 steering: bool = False) -> ExecutionResult:
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Shared machinery
-    # ------------------------------------------------------------------
-
-    def _finish(
-        self,
-        result: ExecutionResult,
-        cluster: Cluster,
-        controller: ChaosController,
-        keep_cluster: bool,
-    ) -> ExecutionResult:
+        world = build(
+            STEERING_VARIANTS[steering], n=self.n_nodes, seed=seed,
+            topology=self.topology(seed), plan=plan,
+            chaos_checkpoint_period=self.chaos_checkpoint_period,
+            causal=causal, target=self,
+        )
+        cluster = world.cluster
+        result = ExecutionResult(target=self.name, seed=seed,
+                                 plan_digest=plan.digest())
+        predictor = None
+        if probes:
+            explorer = Explorer(self.factory, properties=self.properties)
+            predictor = ConsequencePredictor(
+                explorer, chain_depth=self.chain_depth,
+                budget=self.predict_budget,
+            )
+        self._schedule_probes(cluster, predictor, result)
+        self._start(cluster, result)
+        cluster.run(until=self.horizon)
+        for violation in self._live_violations(_snapshot(cluster)):
+            result.violations.append(f"t=end: {violation}")
         result.trace_digest = trace_digest(cluster.sim.trace)
-        result.chaos_stats = controller.stats()
+        result.chaos_stats = world.chaos.stats()
         features = trace_features(cluster.sim.trace)
         features |= chaos_features(result.chaos_stats)
         features |= {("viol", v.split(":", 1)[0]) for v in result.violations}
@@ -125,26 +158,38 @@ class FuzzTarget:
             result.cluster = cluster
         return result
 
+    def _start(self, cluster: Cluster, result: ExecutionResult) -> None:
+        """Start the workload (after the probes are scheduled)."""
+        cluster.start_all()
+
+    def _live_violations(self, world: WorldState) -> List[str]:
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Shared machinery
+    # ------------------------------------------------------------------
+
+    def _check(self, cluster: Cluster, result: ExecutionResult) -> WorldState:
+        """Record the live world's new safety violations; return the world."""
+        world = _snapshot(cluster)
+        for violation in self._live_violations(world):
+            message = f"t={cluster.sim.now:g}: {violation}"
+            if message not in result.violations:
+                result.violations.append(message)
+        return world
+
     def _schedule_probes(
         self,
         cluster: Cluster,
         predictor: Optional[ConsequencePredictor],
         result: ExecutionResult,
-        live_check: Callable[[WorldState], List[str]],
     ) -> None:
         """Probe at the target's probe times: live property check plus
         (when a predictor is given) a consequence-prediction pass whose
         near-violation counts feed the coverage score."""
 
         def probe() -> None:
-            down = [n.node_id for n in cluster.nodes if not n.is_up]
-            world = world_from_services(
-                cluster.services, cluster.nodes, down=down, time=cluster.sim.now,
-            )
-            for violation in live_check(world):
-                message = f"t={cluster.sim.now:g}: {violation}"
-                if message not in result.violations:
-                    result.violations.append(message)
+            world = self._check(cluster, result)
             if predictor is not None:
                 report = predictor.predict(world)
                 for prop, count in report.near_violations().items():
@@ -160,6 +205,14 @@ class FuzzTarget:
 
         for time in self.probe_times:
             cluster.sim.schedule_at(time, probe, tag="fuzz.probe")
+
+
+def _snapshot(cluster: Cluster) -> WorldState:
+    """The live world: every service's state, the crashed nodes down."""
+    down = [n.node_id for n in cluster.nodes if not n.is_up]
+    return world_from_services(
+        cluster.services, cluster.nodes, down=down, time=cluster.sim.now,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -243,47 +296,11 @@ class PaxosFuzzTarget(FuzzTarget):
             ))
         return FaultPlan(events=events)
 
-    def execute(self, plan: FaultPlan, seed: int, *, probes: bool = True,
-                causal: bool = False, keep_cluster: bool = False,
-                steering: bool = False) -> ExecutionResult:
-        cluster = Cluster(self.n_nodes, self.factory,
-                          topology=wan_topology(self.n_nodes), seed=seed,
-                          causal=causal)
-        controller = ChaosController(cluster, plan)
-        controller.arm()
-        if steering:
-            from ..runtime import install_crystalball
-
-            install_crystalball(
-                cluster, self.factory, set_resolver=False,
-                properties=self.properties, checkpoint_period=1.0,
-                prediction_period=1.0, chain_depth=self.chain_depth,
-                budget=self.predict_budget,
-            )
-        cluster.start_all()
-        result = ExecutionResult(target=self.name, seed=seed,
-                                 plan_digest=plan.digest())
-        predictor = None
-        if probes:
-            explorer = Explorer(self.factory, properties=self.properties)
-            predictor = ConsequencePredictor(
-                explorer, chain_depth=self.chain_depth,
-                budget=self.predict_budget,
-            )
-
-        self._schedule_probes(cluster, predictor, result, self._live_violations)
-        cluster.run(until=self.horizon)
-        for violation in self._final_violations(cluster):
-            result.violations.append(f"t=end: {violation}")
-        return self._finish(result, cluster, controller, keep_cluster)
+    def topology(self, seed: int) -> Topology:
+        return wan_topology(self.n_nodes)
 
     def _live_violations(self, world: WorldState) -> List[str]:
         if not paxos_agreement(world):
-            return ["paxos-agreement: two replicas chose different values"]
-        return []
-
-    def _final_violations(self, cluster: Cluster) -> List[str]:
-        if not agreement_holds(s.chosen for s in cluster.services):
             return ["paxos-agreement: two replicas chose different values"]
         return []
 
@@ -328,14 +345,6 @@ class BatchedPaxosFuzzTarget(PaxosFuzzTarget):
             )
         return violations
 
-    def _final_violations(self, cluster: Cluster) -> List[str]:
-        violations = super()._final_violations(cluster)
-        if not at_most_once_holds(s.executed for s in cluster.services):
-            violations.append(
-                "paxos-at-most-once: a replica applied a command twice"
-            )
-        return violations
-
 
 # ----------------------------------------------------------------------
 # RandTree target
@@ -358,6 +367,7 @@ class RandTreeFuzzTarget(FuzzTarget):
     predict_budget = 80
     join_spacing = 0.2
     invariant_period = 0.5
+    chaos_checkpoint_period = 1.0
 
     def __init__(self) -> None:
         self.config = RandTreeConfig()
@@ -389,68 +399,19 @@ class RandTreeFuzzTarget(FuzzTarget):
             ))
         return FaultPlan(events=events)
 
-    def execute(self, plan: FaultPlan, seed: int, *, probes: bool = True,
-                causal: bool = False, keep_cluster: bool = False,
-                steering: bool = False) -> ExecutionResult:
-        from ..net import transit_stub
+    def topology(self, seed: int) -> Topology:
+        return transit_stub(self.n_nodes, random.Random(seed))
 
-        topology = transit_stub(self.n_nodes, random.Random(seed))
-        cluster = Cluster(self.n_nodes, self.factory, topology=topology,
-                          seed=seed, causal=causal)
-        controller = ChaosController(cluster, plan, checkpoint_period=1.0)
-        controller.arm()
-        if steering:
-            from ..runtime import install_crystalball
-
-            install_crystalball(
-                cluster, self.factory, set_resolver=False,
-                properties=self.properties, checkpoint_period=1.0,
-                prediction_period=1.0, chain_depth=self.chain_depth,
-                budget=self.predict_budget,
-            )
-        result = ExecutionResult(target=self.name, seed=seed,
-                                 plan_digest=plan.digest())
-        predictor = None
-        if probes:
-            explorer = Explorer(self.factory, properties=self.properties)
-            predictor = ConsequencePredictor(
-                explorer, chain_depth=self.chain_depth,
-                budget=self.predict_budget,
-            )
-
-        def live_check(world: WorldState) -> List[str]:
-            states = {nid: world.state_of(nid) for nid in world.node_ids
-                      if nid not in world.down}
-            return check_randtree_invariants(states, self.config)
-
-        self._schedule_probes(cluster, predictor, result, live_check)
-
+    def _start(self, cluster: Cluster, result: ExecutionResult) -> None:
+        staggered_join(cluster, self.config.root, self.join_spacing)
         # The cheap high-frequency invariant sweep (live checks only).
-        def invariant_probe() -> None:
-            states = {n.node_id: n.service.checkpoint()
-                      for n in cluster.nodes if n.is_up}
-            for violation in check_randtree_invariants(states, self.config):
-                message = f"t={cluster.sim.now:g}: {violation}"
-                if message not in result.violations:
-                    result.violations.append(message)
-            if cluster.sim.now + self.invariant_period <= self.horizon:
-                cluster.sim.schedule(self.invariant_period, invariant_probe,
-                                     tag="fuzz.invariant")
+        every(cluster, self.invariant_period, self.horizon,
+              lambda: self._check(cluster, result))
 
-        cluster.node(self.config.root).start()
-        for index, node_id in enumerate(
-                nid for nid in range(self.n_nodes) if nid != self.config.root):
-            cluster.sim.schedule_at((index + 1) * self.join_spacing,
-                                    cluster.node(node_id).start,
-                                    tag=f"fuzz.start:{node_id}")
-        cluster.sim.schedule(self.invariant_period, invariant_probe,
-                             tag="fuzz.invariant")
-        cluster.run(until=self.horizon)
-        states = {n.node_id: n.service.checkpoint()
-                  for n in cluster.nodes if n.is_up}
-        for violation in check_randtree_invariants(states, self.config):
-            result.violations.append(f"t=end: {violation}")
-        return self._finish(result, cluster, controller, keep_cluster)
+    def _live_violations(self, world: WorldState) -> List[str]:
+        states = {nid: world.state_of(nid) for nid in world.node_ids
+                  if nid not in world.down}
+        return check_randtree_invariants(states, self.config)
 
 
 TARGETS: Dict[str, Callable[[], FuzzTarget]] = {

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..choice.choicepoint import ChoicePoint
+from ..choice.resolvers import FirstResolver
 from ..net import Network, Topology, full_mesh
 from ..sim import LivenessRegistry, Simulator
 from .context import LiveContext
@@ -67,15 +68,6 @@ class DispatchRecord:
     choices: List[Any] = field(default_factory=list)
 
 
-class _FirstCandidateResolver:
-    """Default resolver: deterministically pick the first candidate."""
-
-    name = "first"
-
-    def resolve(self, point: ChoicePoint, node: Optional[object] = None) -> Any:
-        return point.candidates[0]
-
-
 class Node:
     """Hosts one service instance on the simulated network."""
 
@@ -91,7 +83,7 @@ class Node:
         self.sim = sim
         self.network = network
         self.service = service
-        self.choice_resolver = choice_resolver or _FirstCandidateResolver()
+        self.choice_resolver = choice_resolver or FirstResolver()
         self.inbound_interposers: List[InboundInterposer] = []
         self.outbound_interposers: List[OutboundInterposer] = []
         self._timers: Dict[str, int] = {}

@@ -24,13 +24,14 @@ def test_amortized_mode_digest_and_counters_pinned():
 
 def test_per_choice_mode_trace_and_counters_pinned(monkeypatch):
     clusters = []
-    build = tree_experiment._build_cluster
+    build = tree_experiment.build
 
     def capture(*args, **kwargs):
-        clusters.append(build(*args, **kwargs))
-        return clusters[-1]
+        world = build(*args, **kwargs)
+        clusters.append(world.cluster)
+        return world
 
-    monkeypatch.setattr(tree_experiment, "_build_cluster", capture)
+    monkeypatch.setattr(tree_experiment, "build", capture)
     tree_experiment.run_tree_experiment("choice-crystalball", n=15, seed=1)
     (cluster,) = clusters
     runtimes = [node.crystalball for node in cluster.nodes]

@@ -166,3 +166,10 @@ def test_fuzz_parser_accepts_stream():
         ["fuzz", "--stream", "f.jsonl", "--progress-every", "10"])
     assert args.stream == "f.jsonl"
     assert args.progress_every == 10
+
+
+def test_e7_runs_one_sweep_per_seed(capsys):
+    assert main(["e7", "--seeds", "1", "2", "--max-depth", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("seed ")] == ["seed 1", "seed 2"]
+    assert sum(line.startswith("chain depth 1:") for line in lines) == 2
